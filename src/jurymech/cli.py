@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -73,7 +74,10 @@ def read_payment_table(path: str) -> TabulatedPayment:
         k_text, _, p_text = line.partition(",")
         if int(k_text) != expected:
             raise ValueError(f"{path}: expected row k={expected}, got k={k_text}")
-        values.append(float(p_text))
+        value = float(p_text)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: payment at k={expected} is not finite")
+        values.append(value)
     return TabulatedPayment(len(values), tuple(values))
 
 
@@ -89,11 +93,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_payment_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--threshold", type=float, metavar="REWARD")
-    group.add_argument("--award-loss", type=float, metavar="AWARD")
-    group.add_argument("--kleros", type=float, nargs=2, metavar=("AWARD", "LOSS"))
+    group.add_argument("--threshold", type=_finite, metavar="REWARD")
+    group.add_argument("--award-loss", type=_finite, metavar="AWARD")
+    group.add_argument("--kleros", type=_finite, nargs=2, metavar=("AWARD", "LOSS"))
     group.add_argument("--payment-file", metavar="PATH")
 
 

@@ -10,10 +10,19 @@ All randomness flows through numpy's PCG64 generator.  Seeds for samples
 are derived by feeding (seed, sample index) through SeedSequence's entropy
 mixing, so sample streams are independent and insensitive to evaluation
 order; that is what makes multi-worker sweeps bit-reproducible.
+
+The samples of one Monte Carlo estimate run as one batch: each sample's
+generator fills its rows of a shared buffer of uniforms with exactly the
+values a lone run would draw, in the same order, and then all samples step
+together one round at a time.  Each sample's stream is therefore unchanged,
+and any sample can be replayed alone with simulate().  The buffer is capped
+at _DRAW_BUFFER doubles; past the cap it is refilled in blocks of rounds,
+with every generator kept alive between blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +39,19 @@ from .model import (
 
 _SEED_LIMIT = 2**64
 
+# Cap on the buffer of uniform draws, in doubles (1 MiB), so that memory
+# stays O(samples * n) however many rounds a run has.
+_DRAW_BUFFER = 2**17
+
 
 def derive_seed(*parts: int) -> int:
     """Mix integers into a fresh 64-bit seed (order-sensitive, stateless)."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+
+def _check_effort(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +68,7 @@ class SimulationConfig:
             raise ValueError(f"jury size must be >= 1, got {self.n}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        _check_effort(self.epsilon)
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.seed < _SEED_LIMIT:
@@ -119,23 +136,22 @@ def _response_tables(
     return rows, group
 
 
-def _advance(
+def _respond(
     votes: np.ndarray,
+    uniforms: np.ndarray,
     tables: np.ndarray,
     group: np.ndarray,
-    rng: np.random.Generator,
 ) -> np.ndarray:
-    feedback = int(votes.sum()) - votes.astype(np.intp)
-    probs = tables[group, feedback]
-    return rng.random(votes.shape[0]) < probs
+    """One synchronous best-response round for every row of ``votes``."""
+    feedback = votes.sum(axis=-1, keepdims=True) - votes
+    return uniforms < tables[group, feedback]
 
 
 def round_zero(
     population: list[EffortProfile], epsilon: float, rng: np.random.Generator
 ) -> RoundState:
     """Everyone spends the starter effort and casts the received signal."""
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    _check_effort(epsilon)
     probs = np.array([curve.value(epsilon) for curve in population])
     return _state(rng.random(len(population)) < probs)
 
@@ -151,35 +167,50 @@ def step(
     if len(population) != n or len(prev.votes) != n:
         raise ValueError("population and previous state must both have n entries")
     tables, group = _response_tables(payment, population, n)
-    return _state(_advance(np.array(prev.votes, dtype=bool), tables, group, rng))
+    votes = np.array(prev.votes, dtype=bool)
+    return _state(_respond(votes, rng.random(n), tables, group))
 
 
-def _final_votes(
+def _run_batch(
     config: SimulationConfig,
-    tables: np.ndarray,
-    group: np.ndarray,
-    zero_probs: np.ndarray,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     record: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    votes = rng.random(config.n) < zero_probs
-    if record is not None:
-        record.append(votes)
-    for _ in range(config.rounds):
-        votes = _advance(votes, tables, group, rng)
+    """Final votes of one run per generator, as a (len(rngs), n) array.
+
+    Row k draws from ``rngs[k]`` exactly what a lone run would: n uniforms
+    for round 0, then n per round, in order.  The draws are buffered in
+    blocks of as many rounds as fit in _DRAW_BUFFER doubles (at least one),
+    and each generator lives across blocks, so the block size never changes
+    a stream.  When ``record`` is given, row 0's votes of every round are
+    appended to it.
+    """
+    population = assign_population(config.n, config.rho)
+    tables, group = _response_tables(config.payment, population, config.n)
+    zero_probs = np.array([curve.value(config.epsilon) for curve in population])
+    total = config.rounds + 1
+    block = max(1, _DRAW_BUFFER // (len(rngs) * config.n))
+    draws = np.empty((len(rngs), min(block, total), config.n))
+    for r in range(total):
+        offset = r % block
+        if offset == 0:
+            count = min(block, total - r)
+            for rng, rows in zip(rngs, draws):
+                rng.random(out=rows[:count])
+        uniforms = draws[:, offset]
+        if r == 0:
+            votes = uniforms < zero_probs
+        else:
+            votes = _respond(votes, uniforms, tables, group)
         if record is not None:
-            record.append(votes)
+            record.append(votes[0])
     return votes
 
 
 def simulate(config: SimulationConfig) -> Trajectory:
     """Run one seeded trajectory; identical configs give identical output."""
-    population = assign_population(config.n, config.rho)
-    tables, group = _response_tables(config.payment, population, config.n)
-    zero_probs = np.array([curve.value(config.epsilon) for curve in population])
-    rng = np.random.default_rng(config.seed)
     record: list[np.ndarray] = []
-    votes = _final_votes(config, tables, group, zero_probs, rng, record)
+    votes = _run_batch(config, [np.random.default_rng(config.seed)], record)
     return Trajectory(
         states=tuple(_state(v) for v in record),
         final_correct=int(votes.sum()) > config.n / 2,
@@ -191,17 +222,10 @@ def correctness_estimate(config: SimulationConfig, samples: int) -> float:
 
     Sample k runs with seed derive_seed(config.seed, k), so the estimate is
     reproducible and each sample matches a standalone simulate() call with
-    that derived seed.
+    that derived seed.  All samples step together as one batch.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    population = assign_population(config.n, config.rho)
-    tables, group = _response_tables(config.payment, population, config.n)
-    zero_probs = np.array([curve.value(config.epsilon) for curve in population])
-    correct = 0
-    for k in range(samples):
-        rng = np.random.default_rng(derive_seed(config.seed, k))
-        votes = _final_votes(config, tables, group, zero_probs, rng)
-        if int(votes.sum()) > config.n / 2:
-            correct += 1
-    return correct / samples
+    rngs = [np.random.default_rng(derive_seed(config.seed, k)) for k in range(samples)]
+    votes = _run_batch(config, rngs)
+    return int(np.count_nonzero(votes.sum(axis=1) > config.n / 2)) / samples

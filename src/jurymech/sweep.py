@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -57,6 +58,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if isinstance(self.axis, str):
             object.__setattr__(self, "axis", Axis(self.axis))
+        for name in ("x_min", "x_max", "epsilon", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.x_steps < 2 or self.rho_steps < 2:
@@ -71,6 +75,8 @@ class SweepConfig:
             object.__setattr__(
                 self, "payment_values", tuple(float(v) for v in self.payment_values)
             )
+            if not all(math.isfinite(v) for v in self.payment_values):
+                raise ValueError("payment_values must all be finite")
         if self.axis is Axis.INITIAL_EFFORT and self.x_min < 0.0:
             raise ValueError("initial-effort axis cannot go below zero")
         if self.payment_kind == "table" and self.payment_values is None:

@@ -75,6 +75,12 @@ class TestDesign:
         with pytest.raises(ValueError):
             read_payment_table(str(path))
 
+    def test_non_finite_table_value(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("k,p\n1,0.0\n2,nan\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="not finite"):
+            read_payment_table(str(path))
+
 
 class TestFindEq:
     def test_roots_reported(self, capsys):
@@ -201,6 +207,19 @@ class TestSweep:
             texts.append((out_dir / "tiny.csv").read_text(encoding="utf-8"))
         assert texts[0] != texts[1]
 
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        config_path = self.tiny_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["epsilon"] = float("nan")
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert code == 1 and "usage error" in err
+        assert not (out_dir / "tiny.csv").exists()
+        assert not (out_dir / "tiny.svg").exists()
+
     def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
         code, _, err = run(
@@ -228,3 +247,19 @@ class TestExitCodes:
         ]
         code, _, err = run(args, capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--threshold", "3", "--epsilon", "nan"],
+            ["--threshold", "3", "--epsilon", "inf"],
+            ["--threshold", "nan", "--epsilon", "1"],
+            ["--award-loss", "inf", "--epsilon", "1"],
+            ["--kleros", "1", "-inf", "--epsilon", "1"],
+        ],
+    )
+    def test_non_finite_simulate_value(self, flags, capsys):
+        args = ["simulate", *flags, "--n", "10", "--rho", "0.5", "--rounds", "1"]
+        code, out, err = run(args, capsys)
+        assert code == 1 and "usage error" in err
+        assert out == ""

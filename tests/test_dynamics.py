@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from jurymech.model import (
     AgentKind,
     AwardLossSharingPayment,
     EffortProfile,
+    KlerosPayment,
     ThresholdPayment,
     vote_advantage,
 )
@@ -168,25 +170,65 @@ class TestSimulate:
         with pytest.raises(ValueError):
             config(epsilon=-0.5)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError):
+            config(epsilon=epsilon)
+        with pytest.raises(ValueError):
+            round_zero([WELL, MIS], epsilon, np.random.default_rng(0))
+
+
+def reference_runs(cfg: SimulationConfig, samples: int) -> list[list[int]]:
+    """Per-sample, per-round loop: one rng.random(n) per round.  Returns the
+    ground-truth vote count of every round of every sample."""
+    population = assign_population(cfg.n, cfg.rho)
+    tables, group = _response_tables(cfg.payment, population, cfg.n)
+    zero_probs = np.array([curve.value(cfg.epsilon) for curve in population])
+    runs = []
+    for k in range(samples):
+        rng = np.random.default_rng(derive_seed(cfg.seed, k))
+        votes = rng.random(cfg.n) < zero_probs
+        counts = [int(votes.sum())]
+        for _ in range(cfg.rounds):
+            feedback = int(votes.sum()) - votes.astype(np.intp)
+            votes = rng.random(cfg.n) < tables[group, feedback]
+            counts.append(int(votes.sum()))
+        runs.append(counts)
+    return runs
+
 
 class TestCorrectnessEstimate:
-    def test_samples_match_standalone_runs(self):
-        cfg = config(n=30, rounds=10, seed=77)
-        estimate = correctness_estimate(cfg, 8)
-        manual = [
-            simulate(
-                SimulationConfig(
-                    n=cfg.n,
-                    rho=cfg.rho,
-                    payment=cfg.payment,
-                    epsilon=cfg.epsilon,
-                    rounds=cfg.rounds,
-                    seed=derive_seed(cfg.seed, k),
-                )
-            ).final_correct
-            for k in range(8)
+    @pytest.mark.parametrize(
+        "overrides, samples",
+        [
+            pytest.param(dict(n=30, rounds=10), 8, id="n30_base"),
+            pytest.param(dict(n=1, rho=1.0, rounds=4), 8, id="n1_informed"),
+            pytest.param(dict(n=2, rho=0.0, rounds=4), 8, id="n2_misinformed"),
+            pytest.param(dict(n=11, rho=0.37, rounds=10), 8, id="n11_mixed"),
+            pytest.param(dict(n=100, rho=0.37, rounds=1), 8, id="n100_one_round"),
+            pytest.param(dict(n=100, rho=1.0, rounds=10), 1, id="n100_one_sample"),
+            pytest.param(
+                dict(n=11, rho=0.37, payment=KlerosPayment(1.0, 2.0), rounds=10),
+                8,
+                id="n11_kleros",
+            ),
+            # 1000 x 141 draws per sample exceed the 2**17-double draw buffer,
+            # so both the batch and each one-sample replay refill it in blocks
+            pytest.param(dict(n=1000, rho=0.6, rounds=140), 2, id="n1000_blocks"),
+        ],
+    )
+    def test_samples_match_standalone_runs(self, overrides, samples):
+        cfg = config(seed=77, **overrides)
+        estimate = correctness_estimate(cfg, samples)
+        trajectories = [
+            simulate(dataclasses.replace(cfg, seed=derive_seed(cfg.seed, k)))
+            for k in range(samples)
         ]
-        assert estimate == sum(manual) / 8
+        manual = [t.final_correct for t in trajectories]
+        assert estimate == sum(manual) / samples
+        reference = reference_runs(cfg, samples)
+        assert [[s.t_count for s in t.states] for t in trajectories] == reference
+        assert manual == [counts[-1] > cfg.n / 2 for counts in reference]
 
     def test_zero_reward_is_coin_flipping(self):
         # odd jury: exact win probability is 1/2, ties impossible

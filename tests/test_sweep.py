@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,23 @@ class TestSweepConfig:
             SweepConfig(
                 axis=Axis.REWARD_THRESHOLD, x_min=0.0, x_max=1.0, payment_kind="bogus"
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["x_min", "x_max", "epsilon", "omega", "payment_values"]
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = dict(
+            axis=Axis.INITIAL_EFFORT,
+            x_min=0.0,
+            x_max=1.0,
+            n=2,
+            payment_kind="table",
+            payment_values=(1.0, 2.0),
+        )
+        kwargs[field] = (1.0, value) if field == "payment_values" else value
+        with pytest.raises(ValueError):
+            SweepConfig(**kwargs)
 
     def test_axis_accepts_value_strings(self):
         cfg = SweepConfig(axis="reward-award-loss", x_min=0.0, x_max=10.0)
