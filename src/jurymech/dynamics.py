@@ -115,7 +115,8 @@ def _response_tables(
 
     A juror whose best response is zero effort votes by fair coin; otherwise
     she votes with the signal quality of her optimal effort, flipped when
-    her optimal fidelity is zero.
+    her optimal fidelity is zero.  Best responses are computed once per
+    distinct vote advantage, since a payment table takes only a few values.
     """
     curves: list[EffortProfile] = []
     group = np.empty(len(population), dtype=np.intp)
@@ -124,16 +125,16 @@ def _response_tables(
             curves.append(curve)
         group[i] = curves.index(curve)
 
-    advantages = [vote_advantage(payment, m, n) for m in range(n)]
-    rows = np.empty((len(curves), n))
+    advantages, column = np.unique(vote_advantage(payment, n), return_inverse=True)
+    rows = np.empty((len(curves), len(advantages)))
     for g, curve in enumerate(curves):
-        for m, adv in enumerate(advantages):
+        for j, adv in enumerate(advantages.tolist()):
             br = best_response(curve, adv)
             if br.fidelity is None:
-                rows[g, m] = 0.5
+                rows[g, j] = 0.5
             else:
-                rows[g, m] = vote_probability(curve, Strategy(br.effort, br.fidelity))
-    return rows, group
+                rows[g, j] = vote_probability(curve, Strategy(br.effort, br.fidelity))
+    return rows[:, column], group
 
 
 def _respond(

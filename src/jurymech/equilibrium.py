@@ -158,26 +158,14 @@ def satisfies_simple_condition(payment: PaymentFunction, n: int) -> bool:
     the vote advantage must be non-decreasing in the others' count."""
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
-    for m in range(n - 1):
-        gap = (
-            payment.value((2 + m) / n, n)
-            - payment.value((1 + m) / n, n)
-            + payment.value((n - m) / n, n)
-            - payment.value((n - m - 1) / n, n)
-        )
-        if gap < -1e-12:
-            return False
-    return True
+    return bool(np.all(np.diff(vote_advantage(payment, n)) >= -1e-12))
 
 
 def is_monotone_nondecreasing(payment: PaymentFunction, n: int) -> bool:
-    """Whether payments never drop as the same-vote fraction grows."""
+    """Whether payments never drop as the same-vote count grows."""
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
-    return all(
-        payment.value((k + 1) / n, n) - payment.value(k / n, n) >= -1e-12
-        for k in range(1, n)
-    )
+    return bool(np.all(np.diff(payment.value(n)) >= -1e-12))
 
 
 def is_simple_profile(profile: StrategyProfile) -> bool:
@@ -207,7 +195,7 @@ def find_symmetric_equilibria(
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
-    advantage_table = np.array([vote_advantage(payment, m, n) for m in range(n)])
+    advantage_table = vote_advantage(payment, n)
 
     def g(effort: float) -> float:
         weights = binomial_weights(n, profile.value(effort))

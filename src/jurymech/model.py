@@ -4,8 +4,9 @@ A binary adjudication task is put to ``n`` jurors.  Each juror exerts an
 effort ``effort >= 0`` and receives a signal that equals the ground truth
 with probability given by her effort curve; with probability ``fidelity``
 she casts the signal as her vote, otherwise the opposite.  The mechanism
-pays ``p(x)`` to a juror when a fraction ``x`` of the jury voted the same
-way she did.
+pays a juror according to how many jurors voted the same way she did, so a
+payment for a jury of ``n`` is a table over the counts k = 1..n (the
+fractions k/n); ``PaymentFunction.value(n)`` returns that table.
 
 Everything here is an immutable value type plus pure functions, so objects
 can be shared freely across threads and processes.
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 
 class AgentKind(Enum):
@@ -80,19 +83,22 @@ class EffortProfile:
 
 
 class PaymentFunction:
-    """Maps the same-vote fraction ``x`` to a payment.
+    """Payment table of a jury, indexed by vote count.
 
-    Evaluation is only ever needed at the grid fractions ``k/n`` produced by
-    vote counts; fractions at exactly 1/2 take the majority branch.
+    ``value(n)`` returns a length-n float array whose entry k-1 is the
+    payment to a juror when k of the n jurors, herself included, voted her
+    way.  Counts with 2k >= n (a same-vote fraction of at least 1/2) take
+    the majority branch.
     """
 
-    def value(self, x: float, n: int) -> float:
+    def value(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
 
-def _check_fraction(x: float) -> None:
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"vote fraction must lie in (0, 1], got {x}")
+def _check_finite(**params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,12 @@ class ThresholdPayment(PaymentFunction):
 
     reward: float
 
-    def value(self, x: float, n: int) -> float:
-        _check_fraction(x)
-        return self.reward if x >= 0.5 else 0.0
+    def __post_init__(self) -> None:
+        _check_finite(reward=self.reward)
+
+    def value(self, n: int) -> np.ndarray:
+        k = np.arange(1, n + 1)
+        return np.where(2 * k >= n, self.reward, 0.0)
 
 
 @dataclass(frozen=True)
@@ -113,10 +122,11 @@ class AwardLossSharingPayment(PaymentFunction):
 
     total_award: float
 
-    def value(self, x: float, n: int) -> float:
-        _check_fraction(x)
-        share = self.total_award / (x * n)
-        return share if x >= 0.5 else -share
+    def __post_init__(self) -> None:
+        _check_finite(total_award=self.total_award)
+
+    def value(self, n: int) -> np.ndarray:
+        return KlerosPayment(self.total_award, self.total_award).value(n)
 
 
 @dataclass(frozen=True)
@@ -128,21 +138,18 @@ class KlerosPayment(PaymentFunction):
     award: float
     loss: float
 
-    def value(self, x: float, n: int) -> float:
-        _check_fraction(x)
-        if x >= 0.5:
-            return self.award / (x * n)
-        return -self.loss / (x * n)
+    def __post_init__(self) -> None:
+        _check_finite(award=self.award, loss=self.loss)
 
-
-# Tabulated lookups tolerate this much deviation from an exact grid fraction.
-GRID_TOL = 1e-12
+    def value(self, n: int) -> np.ndarray:
+        k = np.arange(1, n + 1)
+        return np.where(2 * k >= n, self.award, -self.loss) / k
 
 
 @dataclass(frozen=True)
 class TabulatedPayment(PaymentFunction):
-    """Payment table over the grid x = 1/n, 2/n, ..., 1 (e.g. a designed
-    payment).  Off-grid queries are errors, never interpolated."""
+    """Payment table for one jury size (e.g. a designed payment); querying
+    any other size is an error."""
 
     jury_size: int
     values: tuple[float, ...]
@@ -155,17 +162,15 @@ class TabulatedPayment(PaymentFunction):
                 f"need exactly {self.jury_size} table values, got {len(self.values)}"
             )
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("table values must all be finite")
 
-    def value(self, x: float, n: int) -> float:
-        _check_fraction(x)
+    def value(self, n: int) -> np.ndarray:
         if n != self.jury_size:
             raise ValueError(
                 f"table is for jury size {self.jury_size}, queried with n={n}"
             )
-        k = round(x * n)
-        if k < 1 or k > n or abs(x - k / n) > GRID_TOL:
-            raise ValueError(f"x={x} is not a grid fraction k/{n}")
-        return self.values[k - 1]
+        return np.array(self.values)
 
 
 @dataclass(frozen=True)
@@ -218,12 +223,12 @@ def validate_pmf(pmf: Sequence[float], n: int) -> None:
         raise ValueError(f"PMF must sum to 1 within 1e-9, got {total}")
 
 
-def vote_advantage(payment: PaymentFunction, count: int, n: int) -> float:
-    """Payment gain of a ground-truth vote over the opposite vote when
-    exactly ``count`` of the other n-1 jurors vote for the ground truth."""
-    if not 0 <= count <= n - 1:
-        raise ValueError(f"count must lie in [0, {n - 1}], got {count}")
-    return payment.value((1 + count) / n, n) - payment.value((n - count) / n, n)
+def vote_advantage(payment: PaymentFunction, n: int) -> np.ndarray:
+    """Payment gain of a ground-truth vote over the opposite vote; entry m is
+    the gain when exactly m of the other n-1 jurors vote for the ground
+    truth."""
+    table = payment.value(n)
+    return table - table[::-1]
 
 
 def expected_vote_advantage(
@@ -231,9 +236,7 @@ def expected_vote_advantage(
 ) -> float:
     """Expectation of :func:`vote_advantage` under a vote-count PMF."""
     validate_pmf(pmf, n)
-    return math.fsum(
-        p * vote_advantage(payment, t, n) for t, p in enumerate(pmf) if p != 0.0
-    )
+    return math.fsum(np.asarray(pmf, dtype=float) * vote_advantage(payment, n))
 
 
 def expected_utility(
@@ -250,9 +253,7 @@ def expected_utility(
     that accounts for the juror's actual signal quality and fidelity.
     """
     validate_pmf(pmf, n)
-    pay_true = math.fsum(
-        p * payment.value((1 + t) / n, n) for t, p in enumerate(pmf) if p != 0.0
-    )
+    pay_true = math.fsum(np.asarray(pmf, dtype=float) * payment.value(n))
     adv = expected_vote_advantage(payment, pmf, n)
     f = profile.value(strategy.effort)
     b = strategy.fidelity

@@ -77,6 +77,11 @@ class SweepConfig:
             )
             if not all(math.isfinite(v) for v in self.payment_values):
                 raise ValueError("payment_values must all be finite")
+            if len(self.payment_values) != self.n:
+                raise ValueError(
+                    f"payment_values needs one entry per juror ({self.n}), "
+                    f"got {len(self.payment_values)}"
+                )
         if self.axis is Axis.INITIAL_EFFORT and self.x_min < 0.0:
             raise ValueError("initial-effort axis cannot go below zero")
         if self.payment_kind == "table" and self.payment_values is None:

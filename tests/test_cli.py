@@ -220,6 +220,21 @@ class TestSweep:
         assert not (out_dir / "tiny.csv").exists()
         assert not (out_dir / "tiny.svg").exists()
 
+    def test_table_length_mismatch_rejected(self, tmp_path, capsys):
+        config_path = self.tiny_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config.update(
+            axis="initial-effort", payment_kind="table", payment_values=[1.0] * 5
+        )
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert code == 1 and "usage error" in err
+        assert not (out_dir / "tiny.csv").exists()
+        assert not (out_dir / "tiny.svg").exists()
+
     def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
         code, _, err = run(

@@ -102,8 +102,7 @@ class TestResponseTables:
         for omega in (3.0, 5.0):
             payment = ThresholdPayment(omega)
             efforts = {
-                best_response(WELL, vote_advantage(payment, m, 100)).effort
-                for m in range(100)
+                best_response(WELL, adv).effort for adv in vote_advantage(payment, 100)
             }
             assert efforts == {0.0, math.log(omega / 2.0)}
 

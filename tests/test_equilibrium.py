@@ -165,7 +165,7 @@ class TestBestResponseToPmf:
         pmf[60] = 1.0
         thr = ThresholdPayment(3.0)
         br = best_response_to_pmf(WELL, thr, pmf, 100)
-        assert br == best_response(WELL, vote_advantage(thr, 60, 100))
+        assert br == best_response(WELL, vote_advantage(thr, 100)[60])
 
     def test_concentrated_vote_activates_effort(self):
         pmf = binomial_weights(100, 0.9)
@@ -176,7 +176,8 @@ class TestBestResponseToPmf:
 
 def grid_search_utility(curve, payment, pmf, n):
     """Brute-force maximum of the expected utility over the strategy box."""
-    pay_true = math.fsum(p * payment.value((1 + t) / n, n) for t, p in enumerate(pmf))
+    table = payment.value(n)
+    pay_true = math.fsum(p * table[t] for t, p in enumerate(pmf))
     adv = expected_vote_advantage(payment, pmf, n)
     efforts = np.arange(0.0, 5.0 + 1e-12, 1e-3)
     quality = np.array([curve.value(e) for e in efforts])
@@ -323,12 +324,8 @@ class TestSimpleCondition:
         table = TabulatedPayment(4, (4.0, 3.0, 2.0, 1.0))
         # direct evaluation at the first count: both differences negative
         m = 0
-        gap = (
-            table.value(2 / 4, 4)
-            - table.value(1 / 4, 4)
-            + table.value(4 / 4, 4)
-            - table.value(3 / 4, 4)
-        )
+        p = table.value(4)
+        gap = p[m + 1] - p[m] + p[4 - 1 - m] - p[4 - 2 - m]
         assert gap < 0
         assert not satisfies_simple_condition(table, 4)
 
@@ -339,10 +336,8 @@ class TestSimpleCondition:
         for _ in range(50):
             n = int(rng.integers(2, 14))
             table = TabulatedPayment(n, tuple(rng.uniform(-2.0, 2.0, size=n)))
-            gaps = [
-                vote_advantage(table, m + 1, n) - vote_advantage(table, m, n)
-                for m in range(n - 1)
-            ]
+            adv = vote_advantage(table, n)
+            gaps = [adv[m + 1] - adv[m] for m in range(n - 1)]
             assert satisfies_simple_condition(table, n) == all(g >= -2e-12 for g in gaps)
 
 
@@ -392,10 +387,10 @@ class TestSymmetricEquilibria:
         roots = find_symmetric_equilibria(WELL, ThresholdPayment(3.0), 100)
         assert roots == sorted(roots, reverse=True)
         assert roots
-        table = [vote_advantage(ThresholdPayment(3.0), m, 100) for m in range(100)]
+        table = vote_advantage(ThresholdPayment(3.0), 100)
         for root in roots:
             weights = binomial_weights(100, WELL.value(root))
-            g = WELL.derivative(root) * float(weights @ np.array(table)) - 1.0
+            g = WELL.derivative(root) * float(weights @ table) - 1.0
             assert abs(g) <= 1e-8
 
     def test_rejects_misinformed(self):

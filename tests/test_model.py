@@ -99,54 +99,124 @@ class TestEffortProfile:
             EffortProfile(AgentKind.WELL_INFORMED, rate=0.0)
 
 
+JURY_SIZES = (1, 2, 11, 100, 101)
+
+
+def fraction_reference(payment, n: int) -> np.ndarray:
+    """Payment table by the fraction definition p(x) at x = k/n: the
+    majority branch at x >= 1/2, shares of award / (x*n)."""
+    out = []
+    for k in range(1, n + 1):
+        x = k / n
+        if isinstance(payment, ThresholdPayment):
+            out.append(payment.reward if x >= 0.5 else 0.0)
+        elif isinstance(payment, AwardLossSharingPayment):
+            share = payment.total_award / (x * n)
+            out.append(share if x >= 0.5 else -share)
+        elif isinstance(payment, KlerosPayment):
+            out.append(payment.award / (x * n) if x >= 0.5 else -payment.loss / (x * n))
+        else:
+            out.append(payment.values[k - 1])
+    return np.array(out)
+
+
+def payment_cases(n: int) -> list:
+    """One payment of every kind for a jury of n, Kleros both ways round."""
+    rng = np.random.default_rng(n)
+    return [
+        ThresholdPayment(2.5),
+        AwardLossSharingPayment(2500.0),
+        KlerosPayment(1.0, 2.0),  # award < loss
+        KlerosPayment(7.0, 0.5),  # award > loss
+        TabulatedPayment(n, tuple(rng.normal(size=n))),
+    ]
+
+
+def assert_matches_reference(payment, n: int) -> None:
+    table = payment.value(n)
+    assert table.shape == (n,) and table.dtype == np.float64
+    np.testing.assert_allclose(table, fraction_reference(payment, n), rtol=0, atol=1e-12)
+
+
 class TestPayments:
     def test_threshold_branches(self):
         thr = ThresholdPayment(3.0)
-        assert thr.value(0.61, 100) == 3.0
-        assert thr.value(0.40, 100) == 0.0
-        assert thr.value(0.5, 100) == 3.0  # boundary joins the majority branch
+        table = thr.value(100)
+        assert table[60] == 3.0  # 61 of 100
+        assert table[39] == 0.0  # 40 of 100
+        assert table[49] == 3.0  # boundary joins the majority branch
+        for n in JURY_SIZES:
+            assert_matches_reference(ThresholdPayment(2.5), n)
 
     def test_award_loss_sharing(self):
         als = AwardLossSharingPayment(2500.0)
-        assert als.value(0.40, 100) == pytest.approx(-62.5, abs=1e-12)
-        assert als.value(0.50, 100) == pytest.approx(50.0, abs=1e-12)
+        assert als.value(100)[39] == pytest.approx(-62.5, abs=1e-12)
+        assert als.value(100)[49] == pytest.approx(50.0, abs=1e-12)
+        for n in JURY_SIZES:
+            assert_matches_reference(als, n)
+            assert np.array_equal(als.value(n), KlerosPayment(2500.0, 2500.0).value(n))
 
     def test_kleros(self):
         pay = KlerosPayment(1.0, 2.0)
-        assert pay.value(0.6, 10) == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert pay.value(0.4, 10) == pytest.approx(-0.5, abs=1e-12)
+        assert pay.value(10)[5] == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert pay.value(10)[3] == pytest.approx(-0.5, abs=1e-12)
+        for n in JURY_SIZES:
+            assert_matches_reference(KlerosPayment(1.0, 2.0), n)
+            assert_matches_reference(KlerosPayment(7.0, 0.5), n)
 
     def test_tabulated_lookup_and_off_grid(self):
         table = TabulatedPayment(4, (1.0, 2.0, 3.0, 4.0))
-        assert table.value(0.25, 4) == 1.0
-        assert table.value(1.0, 4) == 4.0
+        assert table.value(4)[0] == 1.0
+        assert table.value(4)[3] == 4.0
         with pytest.raises(ValueError):
-            table.value(0.3, 4)
-        with pytest.raises(ValueError):
-            table.value(0.25, 8)
+            table.value(8)  # the grid k/8 is not the table's
         with pytest.raises(ValueError):
             TabulatedPayment(3, (1.0, 2.0))
+        for n in JURY_SIZES:
+            assert_matches_reference(payment_cases(n)[-1], n)
 
-    def test_fraction_domain(self):
-        thr = ThresholdPayment(1.0)
-        with pytest.raises(ValueError):
-            thr.value(0.0, 10)
-        with pytest.raises(ValueError):
-            thr.value(1.2, 10)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ThresholdPayment(math.inf),
+            lambda: ThresholdPayment(math.nan),
+            lambda: AwardLossSharingPayment(-math.inf),
+            lambda: AwardLossSharingPayment(math.nan),
+            lambda: KlerosPayment(math.nan, 1.0),
+            lambda: KlerosPayment(1.0, math.inf),
+            lambda: TabulatedPayment(2, (math.nan, 1.0)),
+            lambda: TabulatedPayment(2, (1.0, -math.inf)),
+        ],
+        ids=[
+            "threshold_inf",
+            "threshold_nan",
+            "award_loss_neg_inf",
+            "award_loss_nan",
+            "kleros_award_nan",
+            "kleros_loss_inf",
+            "table_nan",
+            "table_neg_inf",
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 class TestVoteAdvantage:
     def test_threshold_bands(self):
-        thr = ThresholdPayment(3.0)
-        assert vote_advantage(thr, 60, 100) == 3.0
-        assert vote_advantage(thr, 50, 100) == 0.0
-        assert vote_advantage(thr, 49, 100) == 0.0
-        assert vote_advantage(thr, 48, 100) == -3.0
+        adv = vote_advantage(ThresholdPayment(3.0), 100)
+        assert adv.shape == (100,)
+        assert adv[60] == 3.0
+        assert adv[50] == 0.0
+        assert adv[49] == 0.0
+        assert adv[48] == -3.0
 
     def test_award_loss_from_two_payment_calls(self):
         als = AwardLossSharingPayment(2500.0)
-        expected = als.value(61 / 100, 100) - als.value(40 / 100, 100)
-        assert vote_advantage(als, 60, 100) == pytest.approx(expected, abs=1e-12)
+        table = als.value(100)
+        expected = table[60] - table[39]
+        assert vote_advantage(als, 100)[60] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(2500 / 61 + 2500 / 40, abs=1e-9)
 
     def test_antisymmetry_all_variants(self):
@@ -159,16 +229,16 @@ class TestVoteAdvantage:
                 TabulatedPayment(n, tuple(rng.normal(size=n))),
             ]
             for payment in payments:
+                adv = vote_advantage(payment, n)
                 for m in range(n):
-                    assert vote_advantage(payment, m, n) == pytest.approx(
-                        -vote_advantage(payment, n - 1 - m, n), abs=1e-12
-                    )
-
-    def test_count_out_of_range(self):
-        with pytest.raises(ValueError):
-            vote_advantage(ThresholdPayment(1.0), 100, 100)
-        with pytest.raises(ValueError):
-            vote_advantage(ThresholdPayment(1.0), -1, 100)
+                    assert adv[m] == pytest.approx(-adv[n - 1 - m], abs=1e-12)
+        for n in JURY_SIZES:
+            for payment in payment_cases(n):
+                table = payment.value(n)
+                adv = vote_advantage(payment, n)
+                assert adv.shape == (n,)
+                for m in range(n):
+                    assert adv[m] == table[m] - table[n - 1 - m]
 
 
 class TestExpectedAdvantage:
@@ -176,7 +246,7 @@ class TestExpectedAdvantage:
         als = AwardLossSharingPayment(100.0)
         pmf = point_mass(60, 100)
         assert expected_vote_advantage(als, pmf, 100) == pytest.approx(
-            vote_advantage(als, 60, 100), abs=1e-12
+            vote_advantage(als, 100)[60], abs=1e-12
         )
 
     def test_fair_coin_votes_cancel(self):
@@ -209,8 +279,9 @@ def four_branch_utility(curve, strategy, payment, pmf, n):
     # Direct expansion over (signal right/wrong) x (cast/flip).
     f = curve.value(strategy.effort)
     b = strategy.fidelity
-    pay_t = math.fsum(p * payment.value((1 + t) / n, n) for t, p in enumerate(pmf))
-    pay_f = math.fsum(p * payment.value((n - t) / n, n) for t, p in enumerate(pmf))
+    table = payment.value(n)
+    pay_t = math.fsum(p * table[t] for t, p in enumerate(pmf))
+    pay_f = math.fsum(p * table[n - 1 - t] for t, p in enumerate(pmf))
     return (
         -strategy.effort
         + f * b * pay_t

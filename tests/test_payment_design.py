@@ -82,9 +82,10 @@ class TestBuildLp:
         rng = np.random.default_rng(2)
         values = rng.uniform(0.0, 5.0, size=n)
         table = TabulatedPayment(n, tuple(values))
-        direct = x * sum(
-            z[t] * table.value((1 + t) / n, n) for t in range(n)
-        ) + (1 - x) * sum(z[t] * table.value((n - t) / n, n) for t in range(n))
+        p = table.value(n)
+        direct = x * sum(z[t] * p[t] for t in range(n)) + (1 - x) * sum(
+            z[t] * p[n - 1 - t] for t in range(n)
+        )
         assert lp.objective @ values == pytest.approx(direct, abs=1e-12)
 
     def test_target_domain(self):

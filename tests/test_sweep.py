@@ -61,6 +61,18 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    def test_table_length_must_match_jury_size(self):
+        # Fails at construction, before a sweep starts any worker.
+        with pytest.raises(ValueError, match="one entry per juror"):
+            SweepConfig(
+                axis=Axis.INITIAL_EFFORT,
+                x_min=0.0,
+                x_max=1.0,
+                n=100,
+                payment_kind="table",
+                payment_values=(1.0,) * 5,
+            )
+
     def test_axis_accepts_value_strings(self):
         cfg = SweepConfig(axis="reward-award-loss", x_min=0.0, x_max=10.0)
         assert cfg.axis is Axis.REWARD_AWARD_LOSS
