@@ -228,8 +228,8 @@ def build_parser() -> _Parser:
 
     sub = subparsers.add_parser("best-response", help="closed-form best response")
     sub.add_argument("--kind", choices=[k.value for k in AgentKind], required=True)
-    sub.add_argument("--q", type=float, required=True, help="vote advantage")
-    sub.add_argument("--rate", type=float, default=1.0)
+    sub.add_argument("--q", type=_finite, required=True, help="vote advantage")
+    sub.add_argument("--rate", type=_finite, default=1.0)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_best_response)
 
@@ -242,7 +242,7 @@ def build_parser() -> _Parser:
     sub = subparsers.add_parser("design", help="LP payment design")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--target", type=float, required=True, help="vote fraction in (1/2, 1)")
-    sub.add_argument("--rate", type=float, default=1.0)
+    sub.add_argument("--rate", type=_finite, default=1.0)
     sub.add_argument("--lower-bound", type=float, default=0.0)
     sub.add_argument("--monotone", action="store_true")
     sub.add_argument("--individual-rationality", action="store_true")
@@ -252,7 +252,7 @@ def build_parser() -> _Parser:
     sub = subparsers.add_parser("find-eq", help="symmetric equilibria")
     _add_payment_flags(sub)
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--rate", type=float, default=1.0)
+    sub.add_argument("--rate", type=_finite, default=1.0)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_find_eq)
 

@@ -6,6 +6,11 @@ for the ground truth last round, best-responds to the payment gap implied
 by that count, and votes accordingly.  Updates are synchronous: all jurors
 react to the same previous round.
 
+Jurors come in two kinds, well-informed and misinformed, and jurors of one
+kind are interchangeable.  So the response tables have one row per kind,
+and a round is recorded as its ground-truth votes per kind (RoundState),
+the state of the lumped Markov chain of the dynamics.
+
 All randomness flows through numpy's PCG64 generator.  Seeds for samples
 are derived by feeding (seed, sample index) through SeedSequence's entropy
 mixing, so sample streams are independent and insensitive to evaluation
@@ -49,11 +54,6 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _check_effort(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     n: int
@@ -68,7 +68,10 @@ class SimulationConfig:
             raise ValueError(f"jury size must be >= 1, got {self.n}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        _check_effort(self.epsilon)
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(
+                f"epsilon must be finite and non-negative, got {self.epsilon}"
+            )
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.seed < _SEED_LIMIT:
@@ -77,12 +80,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class RoundState:
-    votes: tuple[bool, ...]  # True = vote for the ground truth
-    t_count: int
+    """Ground-truth votes of one round, counted per kind of juror."""
 
-    def __post_init__(self) -> None:
-        if self.t_count != sum(self.votes):
-            raise ValueError("t_count does not match the votes")
+    informed: int  # ground-truth votes among the well-informed jurors
+    misinformed: int  # ground-truth votes among the misinformed jurors
+
+    @property
+    def t_count(self) -> int:
+        return self.informed + self.misinformed
 
 
 @dataclass(frozen=True)
@@ -91,104 +96,59 @@ class Trajectory:
     final_correct: bool
 
 
-def assign_population(n: int, rho: float) -> list[EffortProfile]:
-    """First round(rho*n) jurors are well-informed, the rest misinformed,
-    all with unit rate.  Placement is irrelevant: the dynamics treat jurors
-    symmetrically."""
+# Row 0 of a response table is a unit-rate well-informed juror, row 1 a
+# unit-rate misinformed one.
+_KINDS = (EffortProfile(AgentKind.WELL_INFORMED), EffortProfile(AgentKind.MISINFORMED))
+
+
+def assign_population(n: int, rho: float) -> int:
+    """Number of well-informed jurors, round(rho*n).  The first that many
+    jurors are well-informed, the rest misinformed, all with unit rate.
+    Placement is irrelevant: the dynamics treat jurors symmetrically."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    informed = round(rho * n)
-    well = EffortProfile(AgentKind.WELL_INFORMED)
-    mis = EffortProfile(AgentKind.MISINFORMED)
-    return [well] * informed + [mis] * (n - informed)
+    return round(rho * n)
 
 
-def _state(votes: np.ndarray) -> RoundState:
-    return RoundState(tuple(bool(v) for v in votes), int(votes.sum()))
-
-
-def _response_tables(
-    payment: PaymentFunction, population: list[EffortProfile], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-curve lookup of the ground-truth-vote probability for every
-    possible feedback count, plus each juror's row index.
+def _response_tables(payment: PaymentFunction, n: int) -> np.ndarray:
+    """Ground-truth-vote probability of each kind (rows, see _KINDS) for
+    every possible feedback count (columns), as a (2, n) array.
 
     A juror whose best response is zero effort votes by fair coin; otherwise
     she votes with the signal quality of her optimal effort, flipped when
     her optimal fidelity is zero.  Best responses are computed once per
     distinct vote advantage, since a payment table takes only a few values.
     """
-    curves: list[EffortProfile] = []
-    group = np.empty(len(population), dtype=np.intp)
-    for i, curve in enumerate(population):
-        if curve not in curves:
-            curves.append(curve)
-        group[i] = curves.index(curve)
-
     advantages, column = np.unique(vote_advantage(payment, n), return_inverse=True)
-    rows = np.empty((len(curves), len(advantages)))
-    for g, curve in enumerate(curves):
+    rows = np.empty((len(_KINDS), len(advantages)))
+    for g, curve in enumerate(_KINDS):
         for j, adv in enumerate(advantages.tolist()):
             br = best_response(curve, adv)
             if br.fidelity is None:
                 rows[g, j] = 0.5
             else:
                 rows[g, j] = vote_probability(curve, Strategy(br.effort, br.fidelity))
-    return rows[:, column], group
-
-
-def _respond(
-    votes: np.ndarray,
-    uniforms: np.ndarray,
-    tables: np.ndarray,
-    group: np.ndarray,
-) -> np.ndarray:
-    """One synchronous best-response round for every row of ``votes``."""
-    feedback = votes.sum(axis=-1, keepdims=True) - votes
-    return uniforms < tables[group, feedback]
-
-
-def round_zero(
-    population: list[EffortProfile], epsilon: float, rng: np.random.Generator
-) -> RoundState:
-    """Everyone spends the starter effort and casts the received signal."""
-    _check_effort(epsilon)
-    probs = np.array([curve.value(epsilon) for curve in population])
-    return _state(rng.random(len(population)) < probs)
-
-
-def step(
-    prev: RoundState,
-    population: list[EffortProfile],
-    payment: PaymentFunction,
-    n: int,
-    rng: np.random.Generator,
-) -> RoundState:
-    """Synchronous best-response round against the previous votes."""
-    if len(population) != n or len(prev.votes) != n:
-        raise ValueError("population and previous state must both have n entries")
-    tables, group = _response_tables(payment, population, n)
-    votes = np.array(prev.votes, dtype=bool)
-    return _state(_respond(votes, rng.random(n), tables, group))
+    return rows[:, column]
 
 
 def _run_batch(
     config: SimulationConfig,
     rngs: list[np.random.Generator],
-    record: list[np.ndarray] | None = None,
+    record: list[RoundState] | None = None,
 ) -> np.ndarray:
     """Final votes of one run per generator, as a (len(rngs), n) array.
 
     Row k draws from ``rngs[k]`` exactly what a lone run would: n uniforms
-    for round 0, then n per round, in order.  The draws are buffered in
-    blocks of as many rounds as fit in _DRAW_BUFFER doubles (at least one),
-    and each generator lives across blocks, so the block size never changes
-    a stream.  When ``record`` is given, row 0's votes of every round are
-    appended to it.
+    for round 0, then n per round, in order; juror i reads uniform i.  The
+    draws are buffered in blocks of as many rounds as fit in _DRAW_BUFFER
+    doubles (at least one), and each generator lives across blocks, so the
+    block size never changes a stream.  When ``record`` is given, row 0's
+    per-kind counts of every round are appended to it.
     """
-    population = assign_population(config.n, config.rho)
-    tables, group = _response_tables(config.payment, population, config.n)
-    zero_probs = np.array([curve.value(config.epsilon) for curve in population])
+    informed = assign_population(config.n, config.rho)
+    kind = (np.arange(config.n) >= informed).astype(np.intp)
+    tables = _response_tables(config.payment, config.n)
+    zero_probs = np.array([curve.value(config.epsilon) for curve in _KINDS])[kind]
     total = config.rounds + 1
     block = max(1, _DRAW_BUFFER // (len(rngs) * config.n))
     draws = np.empty((len(rngs), min(block, total), config.n))
@@ -202,18 +162,25 @@ def _run_batch(
         if r == 0:
             votes = uniforms < zero_probs
         else:
-            votes = _respond(votes, uniforms, tables, group)
+            # synchronous round: each juror responds to the others' last votes
+            feedback = votes.sum(axis=-1, keepdims=True) - votes
+            votes = uniforms < tables[kind, feedback]
         if record is not None:
-            record.append(votes[0])
+            record.append(
+                RoundState(
+                    int(np.count_nonzero(votes[0, :informed])),
+                    int(np.count_nonzero(votes[0, informed:])),
+                )
+            )
     return votes
 
 
 def simulate(config: SimulationConfig) -> Trajectory:
     """Run one seeded trajectory; identical configs give identical output."""
-    record: list[np.ndarray] = []
+    record: list[RoundState] = []
     votes = _run_batch(config, [np.random.default_rng(config.seed)], record)
     return Trajectory(
-        states=tuple(_state(v) for v in record),
+        states=tuple(record),
         final_correct=int(votes.sum()) > config.n / 2,
     )
 

@@ -42,8 +42,8 @@ class EffortProfile:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
     @property
     def well_informed(self) -> bool:
@@ -212,12 +212,12 @@ def vote_probability(profile: EffortProfile, strategy: Strategy) -> float:
 
 
 def validate_pmf(pmf: Sequence[float], n: int) -> None:
-    """Check a vote-count PMF over {0, ..., n-1}: length n, entries >= 0,
-    total mass 1 within 1e-9."""
+    """Check a vote-count PMF over {0, ..., n-1}: length n, entries finite
+    and >= 0, total mass 1 within 1e-9."""
     if len(pmf) != n:
         raise ValueError(f"PMF must have {n} entries (counts 0..{n - 1}), got {len(pmf)}")
-    if any(p < 0.0 for p in pmf):
-        raise ValueError("PMF entries must be non-negative")
+    if not all(math.isfinite(p) and p >= 0.0 for p in pmf):
+        raise ValueError("PMF entries must be finite and non-negative")
     total = math.fsum(pmf)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"PMF must sum to 1 within 1e-9, got {total}")

@@ -58,6 +58,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if isinstance(self.axis, str):
             object.__setattr__(self, "axis", Axis(self.axis))
+        for name in ("x_steps", "rho_steps", "n", "rounds", "samples", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("x_min", "x_max", "epsilon", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -67,6 +71,8 @@ class SweepConfig:
             raise ValueError("x_steps and rho_steps must both be >= 2")
         if self.n < 1 or self.rounds < 1 or self.samples < 1:
             raise ValueError("n, rounds and samples must all be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.epsilon < 0.0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.payment_kind not in _PAYMENT_KINDS:

@@ -220,6 +220,22 @@ class TestSweep:
         assert not (out_dir / "tiny.csv").exists()
         assert not (out_dir / "tiny.svg").exists()
 
+    @pytest.mark.parametrize(
+        "field, value", [("n", 1.5), ("samples", "2"), ("master_seed", -1)]
+    )
+    def test_ill_typed_config_value_rejected(self, field, value, tmp_path, capsys):
+        config_path = self.tiny_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config[field] = value
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert code == 1 and err.startswith("usage error:")
+        assert not (out_dir / "tiny.csv").exists()
+        assert not (out_dir / "tiny.svg").exists()
+
     def test_table_length_mismatch_rejected(self, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
         config = json.loads(config_path.read_text(encoding="utf-8"))
@@ -278,3 +294,20 @@ class TestExitCodes:
         code, out, err = run(args, capsys)
         assert code == 1 and "usage error" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["best-response", "--kind", "well-informed", "--q", "nan"],
+            ["best-response", "--kind", "misinformed", "--q", "inf"],
+            ["best-response", "--kind", "well-informed", "--q", "3", "--rate", "inf"],
+            ["design", "--n", "11", "--target", "0.75", "--rate", "inf"],
+            ["find-eq", "--threshold", "3", "--n", "11", "--rate", "nan"],
+        ],
+        ids=["q_nan", "q_inf", "br_rate_inf", "design_rate_inf", "find_eq_rate_nan"],
+    )
+    def test_non_finite_effort_input(self, args, tmp_path, capsys):
+        code, out, err = run([*args, "--out", str(tmp_path / "out")], capsys)
+        assert code == 1 and "usage error" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from jurymech.dynamics import (
-    RoundState,
     SimulationConfig,
     assign_population,
     correctness_estimate,
     derive_seed,
-    round_zero,
     simulate,
-    step,
     _response_tables,
 )
 from jurymech.equilibrium import best_response
@@ -39,50 +36,49 @@ def config(**kwargs) -> SimulationConfig:
 
 class TestAssignPopulation:
     def test_full_fraction(self):
-        assert assign_population(4, 1.0) == [WELL] * 4
+        assert assign_population(4, 1.0) == 4
 
     def test_exact_half(self):
-        population = assign_population(4, 0.5)
-        assert population == [WELL, WELL, MIS, MIS]
+        assert assign_population(4, 0.5) == 2
 
     def test_rounding(self):
-        population = assign_population(100, 0.731)
-        assert sum(p == WELL for p in population) == 73
+        assert assign_population(100, 0.731) == 73
 
     def test_domain(self):
         with pytest.raises(ValueError):
             assign_population(10, 1.2)
 
 
+def round_zero(n: int, rho: float, epsilon: float, seed: int):
+    """Round-0 state of a seeded run."""
+    return simulate(config(n=n, rho=rho, epsilon=epsilon, rounds=1, seed=seed)).states[0]
+
+
 class TestRoundZero:
     def test_zero_effort_votes_are_fair(self):
-        population = assign_population(2000, 0.5)
-        state = round_zero(population, 0.0, np.random.default_rng(0))
+        state = round_zero(2000, 0.5, 0.0, 0)
         assert abs(state.t_count / 2000 - 0.5) < 0.05
 
     def test_mean_vote_count(self):
         # sample mean over many seeds within 4 standard errors of the exact mean
         n, rho, eps, seeds = 100, 0.7, 1.0, 1000
-        population = assign_population(n, rho)
-        probs = [p.value(eps) for p in population]
+        informed = assign_population(n, rho)
+        probs = [WELL.value(eps)] * informed + [MIS.value(eps)] * (n - informed)
         exact_mean = sum(probs)
         exact_sd = math.sqrt(sum(p * (1 - p) for p in probs))
-        counts = [
-            round_zero(population, eps, np.random.default_rng(s)).t_count
-            for s in range(seeds)
-        ]
+        counts = [round_zero(n, rho, eps, s).t_count for s in range(seeds)]
         standard_error = exact_sd / math.sqrt(seeds)
         assert abs(np.mean(counts) - exact_mean) <= 4 * standard_error
 
     def test_rejects_negative_effort(self):
         with pytest.raises(ValueError):
-            round_zero([WELL], -1.0, np.random.default_rng(0))
+            round_zero(1, 1.0, -1.0, 0)
 
 
 class TestResponseTables:
     def test_threshold_activation_row(self):
-        tables, group = _response_tables(ThresholdPayment(3.0), [WELL, MIS], 100)
-        assert group.tolist() == [0, 1]
+        tables = _response_tables(ThresholdPayment(3.0), 100)
+        assert tables.shape == (2, 100)
         # feedback far above the middle band: advantage 3, effort ln(3/2);
         # the well-informed juror casts her signal (quality 2/3), the
         # misinformed one inverts hers (quality 1/3), so both land on 2/3
@@ -95,7 +91,7 @@ class TestResponseTables:
         assert tables[1, 10] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_small_reward_never_activates(self):
-        tables, _ = _response_tables(ThresholdPayment(1.0), [WELL, MIS], 100)
+        tables = _response_tables(ThresholdPayment(1.0), 100)
         assert np.all(tables == 0.5)
 
     def test_threshold_efforts_are_two_valued(self):
@@ -107,27 +103,6 @@ class TestResponseTables:
             assert efforts == {0.0, math.log(omega / 2.0)}
 
 
-class TestStep:
-    def test_matches_simulate_stream(self):
-        cfg = config(n=40, rounds=6, seed=123)
-        trajectory = simulate(cfg)
-        population = assign_population(cfg.n, cfg.rho)
-        rng = np.random.default_rng(cfg.seed)
-        state = round_zero(population, cfg.epsilon, rng)
-        states = [state]
-        for _ in range(cfg.rounds):
-            state = step(state, population, cfg.payment, cfg.n, rng)
-            states.append(state)
-        assert tuple(states) == trajectory.states
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            RoundState((True, False), 2)
-        state = RoundState((True,) * 10, 10)
-        with pytest.raises(ValueError):
-            step(state, [WELL] * 9, ThresholdPayment(3.0), 9, np.random.default_rng(0))
-
-
 class TestSimulate:
     def test_deterministic(self):
         cfg = config(seed=42)
@@ -137,9 +112,11 @@ class TestSimulate:
         cfg = config(rounds=7)
         trajectory = simulate(cfg)
         assert len(trajectory.states) == 8
+        informed = assign_population(cfg.n, cfg.rho)
         for state in trajectory.states:
-            assert state.t_count == sum(state.votes)
-            assert len(state.votes) == cfg.n
+            assert 0 <= state.informed <= informed
+            assert 0 <= state.misinformed <= cfg.n - informed
+            assert state.t_count == state.informed + state.misinformed
 
     def test_single_agent_jury(self):
         cfg = config(n=1, rho=1.0, payment=ThresholdPayment(5.0), rounds=3, seed=9)
@@ -173,25 +150,27 @@ class TestSimulate:
     def test_non_finite_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError):
             config(epsilon=epsilon)
-        with pytest.raises(ValueError):
-            round_zero([WELL, MIS], epsilon, np.random.default_rng(0))
 
 
-def reference_runs(cfg: SimulationConfig, samples: int) -> list[list[int]]:
-    """Per-sample, per-round loop: one rng.random(n) per round.  Returns the
-    ground-truth vote count of every round of every sample."""
-    population = assign_population(cfg.n, cfg.rho)
-    tables, group = _response_tables(cfg.payment, population, cfg.n)
+def reference_runs(cfg: SimulationConfig, samples: int) -> list[list[tuple[int, int]]]:
+    """Per-sample, per-round loop over a per-juror population: one
+    rng.random(n) per round.  Returns the ground-truth votes among the
+    well-informed and among the misinformed jurors, for every round of
+    every sample."""
+    informed = assign_population(cfg.n, cfg.rho)
+    population = [WELL] * informed + [MIS] * (cfg.n - informed)
+    tables = _response_tables(cfg.payment, cfg.n)
+    group = np.array([0 if curve == WELL else 1 for curve in population], dtype=np.intp)
     zero_probs = np.array([curve.value(cfg.epsilon) for curve in population])
     runs = []
     for k in range(samples):
         rng = np.random.default_rng(derive_seed(cfg.seed, k))
         votes = rng.random(cfg.n) < zero_probs
-        counts = [int(votes.sum())]
+        counts = [(int(votes[:informed].sum()), int(votes[informed:].sum()))]
         for _ in range(cfg.rounds):
             feedback = int(votes.sum()) - votes.astype(np.intp)
             votes = rng.random(cfg.n) < tables[group, feedback]
-            counts.append(int(votes.sum()))
+            counts.append((int(votes[:informed].sum()), int(votes[informed:].sum())))
         runs.append(counts)
     return runs
 
@@ -226,8 +205,10 @@ class TestCorrectnessEstimate:
         manual = [t.final_correct for t in trajectories]
         assert estimate == sum(manual) / samples
         reference = reference_runs(cfg, samples)
-        assert [[s.t_count for s in t.states] for t in trajectories] == reference
-        assert manual == [counts[-1] > cfg.n / 2 for counts in reference]
+        assert [
+            [(s.informed, s.misinformed) for s in t.states] for t in trajectories
+        ] == reference
+        assert manual == [sum(counts[-1]) > cfg.n / 2 for counts in reference]
 
     def test_zero_reward_is_coin_flipping(self):
         # odd jury: exact win probability is 1/2, ties impossible

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jurymech.equilibrium import best_response_to_pmf
 from jurymech.model import (
     AgentKind,
     AwardLossSharingPayment,
@@ -97,6 +98,11 @@ class TestEffortProfile:
             MIS.inverse(0.6)
         with pytest.raises(ValueError):
             EffortProfile(AgentKind.WELL_INFORMED, rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            EffortProfile(AgentKind.WELL_INFORMED, rate=rate)
 
 
 JURY_SIZES = (1, 2, 11, 100, 101)
@@ -273,6 +279,19 @@ class TestExpectedAdvantage:
             validate_pmf([0.5, -0.1, 0.6], 3)
         with pytest.raises(ValueError):
             validate_pmf([1.0], 2)
+
+    @pytest.mark.parametrize(
+        "pmf", [[math.nan, 0.5, 0.5], [0.5, 0.5, math.nan]], ids=["first", "last"]
+    )
+    def test_rejects_nan_pmf(self, pmf):
+        # abs(nan - 1) > 1e-9 is false, so a NaN entry slips past a mass check
+        payment = ThresholdPayment(3.0)
+        with pytest.raises(ValueError, match="finite"):
+            expected_vote_advantage(payment, pmf, 3)
+        with pytest.raises(ValueError, match="finite"):
+            expected_utility(WELL, Strategy(1.0, 1.0), payment, pmf, 3)
+        with pytest.raises(ValueError, match="finite"):
+            best_response_to_pmf(WELL, payment, pmf, 3)
 
 
 def four_branch_utility(curve, strategy, payment, pmf, n):

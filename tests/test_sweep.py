@@ -61,6 +61,24 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 1.5),
+            ("samples", "2"),
+            ("x_steps", 3.0),
+            ("rho_steps", True),
+            ("rounds", None),
+            ("master_seed", 0.5),
+            ("master_seed", -1),
+        ],
+    )
+    def test_ill_typed_values_rejected(self, field, value):
+        kwargs = dict(axis=Axis.REWARD_THRESHOLD, x_min=0.0, x_max=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**kwargs)
+
     def test_table_length_must_match_jury_size(self):
         # Fails at construction, before a sweep starts any worker.
         with pytest.raises(ValueError, match="one entry per juror"):
