@@ -64,6 +64,10 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "rounds", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError(f"jury size must be >= 1, got {self.n}")
         if not 0.0 <= self.rho <= 1.0:

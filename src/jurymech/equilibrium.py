@@ -52,6 +52,11 @@ def others_vote_pmf(profile: StrategyProfile, i: int) -> np.ndarray:
     return poisson_binomial_pmf(probs)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class BestResponse:
     """Utility-maximizing play against a fixed vote advantage.
@@ -119,8 +124,7 @@ def verify_equilibrium(
     slope * advantage = 1 (resp. -1).  Positive effort with fractional
     fidelity can never be optimal.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_positive("tol", tol)
     n = profile.size
     verdicts = []
     for i, (curve, strategy) in enumerate(profile.agents):
@@ -195,6 +199,10 @@ def find_symmetric_equilibria(
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
+    _check_positive("effort_cap", effort_cap)
+    _check_positive("tol", tol)
+    if not isinstance(scan_points, int) or isinstance(scan_points, bool) or scan_points < 2:
+        raise ValueError(f"scan_points must be an integer >= 2, got {scan_points!r}")
     advantage_table = vote_advantage(payment, n)
 
     def g(effort: float) -> float:

@@ -7,9 +7,11 @@ inequality rows into equalities, and phase one drives a full artificial
 basis to zero before phase two optimizes the real objective.
 
 Bland's smallest-index pivot rule is used in both phases, so the method
-terminates on degenerate problems.  Everything is double precision with a
-hard pivot budget; exhausting the budget raises instead of returning a
-possibly wrong answer.
+terminates on degenerate problems.  A pivot updates only the rows with a
+nonzero entry in the entering column and the columns with a nonzero entry
+in the pivot row; every other cell would be left unchanged anyway.
+Everything is double precision with a hard pivot budget; exhausting the
+budget raises instead of returning a possibly wrong answer.
 """
 
 from __future__ import annotations
@@ -91,7 +93,11 @@ def _pivot(tableau: np.ndarray, zrow: np.ndarray, basis: np.ndarray, row: int, c
     tableau[row] /= tableau[row, col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
+    # A cell outside these rows and columns would compute t - f*0 or
+    # t - 0*r, which leaves it as it is, so only the block is updated.
+    rows = np.flatnonzero(factor)
+    cols = np.flatnonzero(tableau[row])
+    tableau[np.ix_(rows, cols)] -= np.outer(factor[rows], tableau[row, cols])
     zrow -= zrow[col] * tableau[row]
     basis[row] = col
 
@@ -106,13 +112,10 @@ def _iterate(
     """Run simplex iterations until no reduced cost improves (OPTIMAL for the
     current objective) or an improving ray is found (UNBOUNDED)."""
     while True:
-        entering = -1
-        for j in range(num_cols):  # Bland: smallest improving index
-            if zrow[j] < -_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(zrow[:num_cols] < -_COST_TOL)
+        if improving.size == 0:
             return SolveStatus.OPTIMAL
+        entering = int(improving[0])  # Bland: smallest improving index
         column = tableau[:, entering]
         candidates = np.nonzero(column > _PIVOT_TOL)[0]
         if candidates.size == 0:

@@ -151,6 +151,21 @@ class TestSimulate:
         with pytest.raises(ValueError):
             config(epsilon=epsilon)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 1.5),
+            ("n", True),
+            ("rounds", 2.5),
+            ("rounds", True),
+            ("seed", 1.5),
+            ("seed", "7"),
+        ],
+    )
+    def test_ill_typed_integer_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            config(**{field: value})
+
 
 def reference_runs(cfg: SimulationConfig, samples: int) -> list[list[tuple[int, int]]]:
     """Per-sample, per-round loop over a per-juror population: one

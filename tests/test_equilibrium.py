@@ -264,6 +264,11 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValueError):
             verify_equilibrium(uniform_profile(2), ThresholdPayment(1.0), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_tolerance_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_equilibrium(uniform_profile(2), ThresholdPayment(1.0), tol=tol)
+
 
 class TestMirror:
     def test_definition_and_involution(self):
@@ -396,3 +401,25 @@ class TestSymmetricEquilibria:
     def test_rejects_misinformed(self):
         with pytest.raises(ValueError):
             find_symmetric_equilibria(MIS, ThresholdPayment(3.0), 10)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"tol": 0.0},
+            {"scan_points": 0},
+            {"scan_points": 1},
+            {"scan_points": 2.5},
+            {"scan_points": True},
+            {"effort_cap": 0.0},
+            {"effort_cap": -1.0},
+            {"effort_cap": math.nan},
+            {"effort_cap": math.inf},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_rejects_bad_search_settings(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            find_symmetric_equilibria(WELL, ThresholdPayment(3.0), 10, **kwargs)

@@ -1,13 +1,17 @@
-"""Golden outputs: the sha256 of the small sweep CSVs and of one simulate
-dump.  Any change to a random stream, a response table or the output
-format moves one of these hashes, so a refactor that claims bit-identical
-output is checked here rather than by hand."""
+"""Golden outputs: the sha256 of the small sweep CSVs, of one simulate
+dump and of a grid of design LP results.  Any change to a random stream, a
+response table, the output format or a simplex pivot moves one of these
+hashes, so a refactor that claims bit-identical output is checked here
+rather than by hand."""
 
+import collections
 import hashlib
 
 import pytest
 
 from jurymech.cli import cli_main
+from jurymech.payment_design import DesignOptions, build_lp
+from jurymech.simplex import solve
 
 SWEEP_CSV_SHA256 = {
     "fig1a-small": "fd165a041105efa71ef1b51bddd52b87277e8997fa728044d020f3861e2b0351",
@@ -38,3 +42,50 @@ def test_simulate_dump(capsys):
     out = capsys.readouterr().out
     assert out.startswith("0,64\n1,44\n")
     assert sha256(out.encode("utf-8")) == SIMULATE_STDOUT_SHA256
+
+
+LP_OPTIONS = {
+    "plain": DesignOptions(),
+    "monotone": DesignOptions(require_monotone=True),
+    "ir": DesignOptions(individual_rationality=True),
+}
+LP_TARGETS = (0.51, 0.75, 0.99)
+LP_GRID = [
+    (n, kind, x)
+    for n in (3, 11, 51, 75, 101)
+    for kind in ("plain", "monotone", "ir")
+    for x in LP_TARGETS
+] + [(201, kind, x) for kind in ("plain", "ir") for x in LP_TARGETS]
+LP_GRID_SHA256 = "3c7438db4222eb3ad95f7c750f5a0ff2b49747c82c6f2c05f3c4fbfa890e378e"
+
+
+def test_design_lp_grid():
+    """Every outcome of 51 design LPs at a 1000-pivot budget, byte for byte.
+
+    The grid covers all five outcomes: 40 optimal, 2 infeasible,
+    2 unbounded, 3 PivotLimitError and 4 RuntimeError from the feasibility
+    guard.  Several of the non-optimal ones are the known defects of the
+    unscaled design LP (ROADMAP item 1).  Fixing that LP is expected to
+    re-pin this hash, and the fix must say so in CHANGES.md; a pure speed-up
+    of the pivots must leave it unchanged.
+    """
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for n, kind, x in LP_GRID:
+        try:
+            sol = solve(build_lp(n, x, options=LP_OPTIONS[kind]), max_pivots=1000)
+        except RuntimeError as exc:  # PivotLimitError is a RuntimeError
+            item = (type(exc).__name__,)
+        else:
+            values = None if sol.values is None else sol.values.tobytes()
+            item = (sol.status.value, values, repr(sol.objective_value))
+        outcomes[item[0]] += 1
+        digest.update(repr(item).encode("utf-8"))
+    assert outcomes == {
+        "optimal": 40,
+        "infeasible": 2,
+        "unbounded": 2,
+        "PivotLimitError": 3,
+        "RuntimeError": 4,
+    }
+    assert digest.hexdigest() == LP_GRID_SHA256

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jurymech.simplex import LinearProgram, SolveStatus, solve
+from jurymech.simplex import LinearProgram, SolveStatus, _pivot, solve
 
 
 def lp(c, ge=None, ge_rhs=None, eq=None, eq_rhs=None, lb=None):
@@ -141,3 +141,37 @@ def test_dimension_validation():
         )
     with pytest.raises(ValueError):
         lp([np.nan])
+
+
+def _dense_pivot(tableau, zrow, basis, row, col):
+    # Reference: the full rank-1 update of every tableau cell.
+    tableau[row] /= tableau[row, col]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
+    zrow -= zrow[col] * tableau[row]
+    basis[row] = col
+
+
+@pytest.mark.parametrize("shape", ["random", "lone_column", "lone_row"])
+def test_sparse_pivot_matches_dense_update(shape):
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        m, k = rng.integers(1, 9), rng.integers(2, 12)
+        tableau = rng.uniform(-2.0, 2.0, size=(m, k))
+        tableau[rng.random((m, k)) < 0.6] = 0.0
+        row, col = int(rng.integers(m)), int(rng.integers(k - 1))
+        tableau[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        if shape == "lone_column":  # no other row needs updating
+            tableau[:, col] = np.where(np.arange(m) == row, tableau[row, col], 0.0)
+        elif shape == "lone_row":  # no other column needs updating
+            tableau[row] = np.where(np.arange(k) == col, tableau[row, col], 0.0)
+        zrow = rng.uniform(-1.0, 1.0, size=k)
+        basis = rng.integers(0, k, size=m)
+
+        want = (tableau.copy(), zrow.copy(), basis.copy())
+        _dense_pivot(*want, row, col)
+        _pivot(tableau, zrow, basis, row, col)
+        assert np.array_equal(tableau, want[0])
+        assert np.array_equal(zrow, want[1])
+        assert np.array_equal(basis, want[2])
