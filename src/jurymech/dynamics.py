@@ -16,11 +16,17 @@ are derived by feeding (seed, sample index) through SeedSequence's entropy
 mixing, so sample streams are independent and insensitive to evaluation
 order; that is what makes multi-worker sweeps bit-reproducible.
 
-The samples of one Monte Carlo estimate run as one batch: each sample's
-generator fills its rows of a shared buffer of uniforms with exactly the
-values a lone run would draw, in the same order, and then all samples step
-together one round at a time.  Each sample's stream is therefore unchanged,
-and any sample can be replayed alone with simulate().  The buffer is capped
+Monte Carlo runs go in batches: one batch holds every sample of one or
+more configs that share n and rounds, one row per (config, sample) pair.
+Each row's generator fills its row of a shared buffer of uniforms with
+exactly the values a lone run would draw, in the same order, and then all
+rows step together one round at a time, each reading its own config's
+response table and round-0 probabilities.  The seeds of a whole batch are
+derived as one array: jurymech._seeding redoes SeedSequence's mixing in
+uint32 array arithmetic, for derive_seed(seed, k) and then for the state
+that default_rng would give PCG64 from that seed.  So every stream is
+unchanged, derive_seed stays the oracle it is tested against, and any
+sample can be replayed alone with simulate().  The buffer is capped
 at _DRAW_BUFFER doubles; past the cap it is refilled in blocks of rounds,
 with every generator kept alive between blocks.
 """
@@ -28,6 +34,7 @@ with every generator kept alive between blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +45,7 @@ from .model import (
     EffortProfile,
     PaymentFunction,
     Strategy,
+    _check_int,
     vote_advantage,
     vote_probability,
 )
@@ -47,6 +55,14 @@ _SEED_LIMIT = 2**64
 # Cap on the buffer of uniform draws, in doubles (1 MiB), so that memory
 # stays O(samples * n) however many rounds a run has.
 _DRAW_BUFFER = 2**17
+
+# Uniform draws per round that a sweep aims for in one batch.  Each round
+# makes the same few numpy calls whatever the batch size, so a batch should
+# be large; but a larger batch fits fewer rounds into _DRAW_BUFFER, and each
+# refill costs one call per generator.  On a 10x10 fig1a grid (2-core host)
+# batches of 4 or 8 cells (2**13 or 2**14 draws) took 0.18 s, 1 cell 0.27 s
+# and 32 cells 0.26 s.
+_BATCH_DRAWS = 2**13
 
 
 def derive_seed(*parts: int) -> int:
@@ -64,10 +80,7 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "rounds", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_int(n=self.n, rounds=self.rounds, seed=self.seed)
         if self.n < 1:
             raise ValueError(f"jury size must be >= 1, got {self.n}")
         if not 0.0 <= self.rho <= 1.0:
@@ -136,26 +149,39 @@ def _response_tables(payment: PaymentFunction, n: int) -> np.ndarray:
 
 
 def _run_batch(
-    config: SimulationConfig,
+    configs: Sequence[SimulationConfig],
     rngs: list[np.random.Generator],
     record: list[RoundState] | None = None,
 ) -> np.ndarray:
     """Final votes of one run per generator, as a (len(rngs), n) array.
 
-    Row k draws from ``rngs[k]`` exactly what a lone run would: n uniforms
-    for round 0, then n per round, in order; juror i reads uniform i.  The
-    draws are buffered in blocks of as many rounds as fit in _DRAW_BUFFER
-    doubles (at least one), and each generator lives across blocks, so the
-    block size never changes a stream.  When ``record`` is given, row 0's
-    per-kind counts of every round are appended to it.
+    The configs share n and rounds, and the generators are dealt to them in
+    order, an equal number each: with s = len(rngs) // len(configs), rows
+    c*s to (c+1)*s - 1 run configs[c].  Row k draws from ``rngs[k]``
+    exactly what a lone run would: n uniforms for round 0, then n per
+    round, in order; juror i reads uniform i.  The draws are buffered in
+    blocks of as many rounds as fit in _DRAW_BUFFER doubles (at least one),
+    and each generator lives across blocks, so neither the block size nor
+    the other rows of the batch ever change a stream.  When ``record`` is
+    given, row 0's per-kind counts of every round are appended to it.
     """
-    informed = assign_population(config.n, config.rho)
-    kind = (np.arange(config.n) >= informed).astype(np.intp)
-    tables = _response_tables(config.payment, config.n)
-    zero_probs = np.array([curve.value(config.epsilon) for curve in _KINDS])[kind]
-    total = config.rounds + 1
-    block = max(1, _DRAW_BUFFER // (len(rngs) * config.n))
-    draws = np.empty((len(rngs), min(block, total), config.n))
+    n, rounds = configs[0].n, configs[0].rounds
+    if any(c.n != n or c.rounds != rounds for c in configs):
+        raise ValueError("the configs of one batch must share n and rounds")
+    cell = np.repeat(np.arange(len(configs)), len(rngs) // len(configs))
+    informed = np.array([assign_population(n, c.rho) for c in configs])
+    # Row of each juror in the stacked (cells * 2, n) tables: her cell's
+    # well-informed row, or the misinformed one after it.
+    table_row = 2 * cell[:, None] + (np.arange(n) >= informed[cell, None])
+    zero_probs = np.array(
+        [[curve.value(c.epsilon) for curve in _KINDS] for c in configs]
+    ).ravel()[table_row]
+    tables = np.concatenate([_response_tables(c.payment, n) for c in configs]).ravel()
+    # flat index of feedback count 0 in the juror's table row
+    table_start = table_row * n
+    total = rounds + 1
+    block = max(1, _DRAW_BUFFER // (len(rngs) * n))
+    draws = np.empty((len(rngs), min(block, total), n))
     for r in range(total):
         offset = r % block
         if offset == 0:
@@ -166,14 +192,16 @@ def _run_batch(
         if r == 0:
             votes = uniforms < zero_probs
         else:
-            # synchronous round: each juror responds to the others' last votes
-            feedback = votes.sum(axis=-1, keepdims=True) - votes
-            votes = uniforms < tables[kind, feedback]
+            # synchronous round: each juror responds to the others' last
+            # votes, her row's count minus her own vote
+            index = table_start - votes
+            index += votes.sum(axis=1, keepdims=True)
+            votes = uniforms < tables[index]
         if record is not None:
             record.append(
                 RoundState(
-                    int(np.count_nonzero(votes[0, :informed])),
-                    int(np.count_nonzero(votes[0, informed:])),
+                    int(np.count_nonzero(votes[0, : informed[0]])),
+                    int(np.count_nonzero(votes[0, informed[0] :])),
                 )
             )
     return votes
@@ -182,11 +210,42 @@ def _run_batch(
 def simulate(config: SimulationConfig) -> Trajectory:
     """Run one seeded trajectory; identical configs give identical output."""
     record: list[RoundState] = []
-    votes = _run_batch(config, [np.random.default_rng(config.seed)], record)
+    votes = _run_batch([config], [np.random.default_rng(config.seed)], record)
     return Trajectory(
         states=tuple(record),
         final_correct=int(votes.sum()) > config.n / 2,
     )
+
+
+def batch_cells(n: int, samples: int) -> int:
+    """How many configs of jury size n to run as one batch of ``samples``
+    runs each: enough that a round draws about _BATCH_DRAWS uniforms, and
+    at least one."""
+    return max(1, _BATCH_DRAWS // (samples * n))
+
+
+def correctness_estimates(
+    configs: Sequence[SimulationConfig], samples: int
+) -> np.ndarray:
+    """Correctness estimate of each config, as one batch of runs.
+
+    The configs must share n and rounds.  Config c's sample k runs with
+    seed derive_seed(configs[c].seed, k), so each estimate is the one
+    :func:`correctness_estimate` gives for that config alone, and each
+    sample matches a standalone simulate() call with its derived seed.
+    """
+    _check_int(samples=samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not configs:
+        raise ValueError("need at least one config")
+    # imported on first use, like numpy.random itself (see _seeding)
+    from ._seeding import sample_generators
+
+    seeds = np.array([c.seed for c in configs], dtype=np.uint64)
+    rngs = sample_generators(seeds, samples)
+    correct = _run_batch(configs, rngs).sum(axis=1) > configs[0].n / 2
+    return np.count_nonzero(correct.reshape(len(configs), samples), axis=1) / samples
 
 
 def correctness_estimate(config: SimulationConfig, samples: int) -> float:
@@ -196,8 +255,4 @@ def correctness_estimate(config: SimulationConfig, samples: int) -> float:
     reproducible and each sample matches a standalone simulate() call with
     that derived seed.  All samples step together as one batch.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rngs = [np.random.default_rng(derive_seed(config.seed, k)) for k in range(samples)]
-    votes = _run_batch(config, rngs)
-    return int(np.count_nonzero(votes.sum(axis=1) > config.n / 2)) / samples
+    return float(correctness_estimates([config], samples)[0])

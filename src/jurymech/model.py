@@ -101,6 +101,14 @@ def _check_finite(**params: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_int(**params: object) -> None:
+    """Reject anything but a plain int; bool is an int subclass, so it is
+    rejected by name."""
+    for name, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ThresholdPayment(PaymentFunction):
     """Fixed reward to every majority voter, nothing to the minority."""

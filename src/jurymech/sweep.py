@@ -1,11 +1,17 @@
 """Correctness sweeps over (well-informed fraction, axis parameter) grids.
 
-A sweep evaluates :func:`jurymech.dynamics.correctness_estimate` on a
-rectangular grid: the y axis always spans the well-informed fraction over
-[0, 1]; the x axis varies either a payment reward or the round-0 effort.
-Every cell derives its own seed from (master seed, row, column), so results
-are bit-identical no matter how many workers evaluate the grid or in which
-order.
+A sweep estimates correctness, as :func:`jurymech.dynamics.correctness_estimate`
+does, on every cell of a rectangular grid: the y axis always spans the
+well-informed fraction over [0, 1]; the x axis varies either a payment
+reward or the round-0 effort.  Every cell derives its own seed from
+(master seed, row, column), so results are bit-identical no matter how many
+workers evaluate the grid or in which order.
+
+The cells go to :func:`jurymech.dynamics.correctness_estimates` in
+rho-major batches of :func:`jurymech.dynamics.batch_cells` cells, and a
+worker pool maps whole batches.  A batch runs all its cells' samples
+together, with their seeds derived as one array; each sample's stream is
+the one its derived seed gives alone, so the batch size changes no value.
 """
 
 from __future__ import annotations
@@ -21,12 +27,21 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import SimulationConfig, correctness_estimate, derive_seed
+# bench/tracer.py wraps correctness_estimate and derive_seed under their
+# names in this module, so both stay imported here.
+from .dynamics import (  # noqa: F401
+    SimulationConfig,
+    batch_cells,
+    correctness_estimate,
+    correctness_estimates,
+    derive_seed,
+)
 from .model import (
     AwardLossSharingPayment,
     PaymentFunction,
     TabulatedPayment,
     ThresholdPayment,
+    _check_int,
 )
 
 
@@ -58,10 +73,14 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if isinstance(self.axis, str):
             object.__setattr__(self, "axis", Axis(self.axis))
-        for name in ("x_steps", "rho_steps", "n", "rounds", "samples", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_int(
+            x_steps=self.x_steps,
+            rho_steps=self.rho_steps,
+            n=self.n,
+            rounds=self.rounds,
+            samples=self.samples,
+            master_seed=self.master_seed,
+        )
         for name in ("x_min", "x_max", "epsilon", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -110,8 +129,24 @@ class SweepConfig:
 
     def cell_simulation(self, row: int, col: int) -> SimulationConfig:
         """Simulation settings for one grid cell, with its derived seed."""
-        rho = float(self.rho_values()[row])
-        x = float(self.x_values()[col])
+        rho, x = self.rho_values()[row], self.x_values()[col]
+        return self._simulation(row, col, rho, x, self.fixed_payment())
+
+    def cell_simulations(self) -> list[SimulationConfig]:
+        """cell_simulation of every cell, rho-major, with the axis values
+        and the fixed payment computed once."""
+        xs = self.x_values()
+        fixed = self.fixed_payment()
+        return [
+            self._simulation(row, col, rho, x, fixed)
+            for row, rho in enumerate(self.rho_values())
+            for col, x in enumerate(xs)
+        ]
+
+    def _simulation(
+        self, row: int, col: int, rho: float, x: float, fixed: PaymentFunction
+    ) -> SimulationConfig:
+        x = float(x)
         if self.axis is Axis.REWARD_THRESHOLD:
             payment: PaymentFunction = ThresholdPayment(x)
             epsilon = self.epsilon
@@ -119,11 +154,11 @@ class SweepConfig:
             payment = AwardLossSharingPayment(x)
             epsilon = self.epsilon
         else:
-            payment = self.fixed_payment()
+            payment = fixed
             epsilon = x
         return SimulationConfig(
             n=self.n,
-            rho=rho,
+            rho=float(rho),
             payment=payment,
             epsilon=epsilon,
             rounds=self.rounds,
@@ -138,28 +173,26 @@ class SweepResult:
     elapsed_seconds: float
 
 
-def _cell_value(config: SweepConfig, cell: tuple[int, int]) -> float:
-    row, col = cell
-    return correctness_estimate(config.cell_simulation(row, col), config.samples)
-
-
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate the whole grid, optionally across worker processes.
 
     The thread count only affects wall-clock time, never the numbers.
     """
+    _check_int(threads=threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
-    cells = [(i, j) for i in range(config.rho_steps) for j in range(config.x_steps)]
-    worker = partial(_cell_value, config)
+    cells = config.cell_simulations()
+    size = batch_cells(config.n, config.samples)
+    batches = [cells[i : i + size] for i in range(0, len(cells), size)]
+    estimate = partial(correctness_estimates, samples=config.samples)
     if threads == 1:
-        values = [worker(cell) for cell in cells]
+        values = [estimate(batch) for batch in batches]
     else:
-        chunk = max(1, len(cells) // (threads * 16))
+        chunk = max(1, len(batches) // (threads * 16))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(worker, cells, chunksize=chunk))
-    grid = np.array(values).reshape(config.rho_steps, config.x_steps)
+            values = list(pool.map(estimate, batches, chunksize=chunk))
+    grid = np.concatenate(values).reshape(config.rho_steps, config.x_steps)
     return SweepResult(grid, config, time.perf_counter() - started)
 
 

@@ -8,16 +8,21 @@ from jurymech.dynamics import (
     SimulationConfig,
     assign_population,
     correctness_estimate,
+    correctness_estimates,
     derive_seed,
     simulate,
+    _DRAW_BUFFER,
     _response_tables,
+    _run_batch,
 )
+from jurymech._seeding import PresetState, derive_seeds, sample_generators, seed_states
 from jurymech.equilibrium import best_response
 from jurymech.model import (
     AgentKind,
     AwardLossSharingPayment,
     EffortProfile,
     KlerosPayment,
+    TabulatedPayment,
     ThresholdPayment,
     vote_advantage,
 )
@@ -251,6 +256,11 @@ class TestCorrectnessEstimate:
         with pytest.raises(ValueError):
             correctness_estimate(config(), 0)
 
+    @pytest.mark.parametrize("samples", [2.5, True, "3", None])
+    def test_ill_typed_sample_count_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            correctness_estimate(config(n=5, rounds=2), samples)
+
 
 class TestDeriveSeed:
     def test_deterministic_and_spread(self):
@@ -258,3 +268,95 @@ class TestDeriveSeed:
         seeds = {derive_seed(0, k) for k in range(1000)}
         assert len(seeds) == 1000
         assert all(0 <= s < 2**64 for s in seeds)
+
+    # corner seeds: zero, one word, the largest one-word seed, the smallest
+    # two-word one, the top bit alone, the largest 64-bit seed; then random
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    def test_vectorised_derivation_matches_seed_sequence(self):
+        drawn = np.random.default_rng(2024).integers(0, 2**64, size=20, dtype=np.uint64)
+        seeds = self.EDGE_SEEDS + [int(s) for s in drawn]
+        derived = derive_seeds(np.array(seeds, dtype=np.uint64), 1000)
+        assert derived.shape == (len(seeds), 1000) and derived.dtype == np.uint64
+        expected = [[derive_seed(s, k) for k in range(1000)] for s in seeds]
+        assert derived.tolist() == expected
+
+    def test_vectorised_states_match_seed_sequence(self):
+        # derived seeds are one SeedSequence word when below 2**32
+        small = np.random.default_rng(7).integers(0, 2**32, size=10, dtype=np.uint64)
+        large = np.random.default_rng(8).integers(0, 2**64, size=10, dtype=np.uint64)
+        seeds = self.EDGE_SEEDS + [int(s) for s in small] + [int(s) for s in large]
+        states = seed_states(np.array(seeds, dtype=np.uint64))
+        assert states.flags.c_contiguous and states.dtype == np.uint64
+        for seed, state in zip(seeds, states):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert np.array_equal(state, expected)
+
+    def test_generators_replay_default_rng(self):
+        seeds = [3, 2**32 + 5, 2**64 - 1]
+        generators = sample_generators(np.array(seeds, dtype=np.uint64), 7)
+        assert len(generators) == 21
+        for (seed, k), rng in zip([(s, k) for s in seeds for k in range(7)], generators):
+            reference = np.random.default_rng(derive_seed(seed, k))
+            assert np.array_equal(rng.random(16), reference.random(16))
+            assert np.array_equal(rng.integers(0, 2**62, 4), reference.integers(0, 2**62, 4))
+        # a derived seed below 2**32 seeds PCG64 from a one-word entropy
+        for seed in (0, 1, 12345, 2**32 - 1):
+            state = seed_states(np.array([seed], dtype=np.uint64))[0]
+            rng = np.random.Generator(np.random.PCG64(PresetState(state)))
+            reference = np.random.default_rng(seed)
+            assert np.array_equal(rng.random(16), reference.random(16))
+
+
+def mixed_batch(n: int, rounds: int) -> list[SimulationConfig]:
+    """Configs that differ in everything a batch row reads from its cell:
+    population split, payment family and round-0 effort; seeds of one and
+    of two 32-bit words."""
+    table = tuple(float(v) for v in np.linspace(-1.0, 4.0, n))
+    cells = [
+        (0.0, ThresholdPayment(3.0), 1.0, 5),
+        (0.37, KlerosPayment(1.0, 2.0), 0.5, 2**40 + 3),
+        (1.0, TabulatedPayment(n, table), 2.0, 2**64 - 1),
+        (0.37, ThresholdPayment(4.0), 0.0, 0),
+        (1.0, AwardLossSharingPayment(50.0), 1.5, 2**32),
+    ]
+    return [
+        SimulationConfig(n=n, rho=rho, payment=pay, epsilon=eps, rounds=rounds, seed=seed)
+        for rho, pay, eps, seed in cells
+    ]
+
+
+class TestBatch:
+    def test_mixed_batch_matches_cells_and_replays(self):
+        n, rounds, samples = 60, 300, 4
+        configs = mixed_batch(n, rounds)
+        # 20 rows of 60 draws per round: the buffer is filled in 3 blocks
+        assert len(configs) * samples * n * (rounds + 1) > 2 * _DRAW_BUFFER
+        estimates = correctness_estimates(configs, samples)
+        singles = [correctness_estimate(cfg, samples) for cfg in configs]
+        assert estimates.tolist() == singles
+        replays = [
+            [
+                simulate(dataclasses.replace(cfg, seed=derive_seed(cfg.seed, k)))
+                for k in range(samples)
+            ]
+            for cfg in configs
+        ]
+        assert estimates.tolist() == [
+            sum(t.final_correct for t in runs) / samples for runs in replays
+        ]
+        seeds = np.array([cfg.seed for cfg in configs], dtype=np.uint64)
+        votes = _run_batch(configs, sample_generators(seeds, samples))
+        finals = [t.states[-1] for runs in replays for t in runs]
+        informed = [assign_population(n, cfg.rho) for cfg in configs for _ in range(samples)]
+        assert [(s.informed, s.misinformed) for s in finals] == [
+            (int(row[:i].sum()), int(row[i:].sum())) for row, i in zip(votes, informed)
+        ]
+
+    def test_batch_rejects_mixed_shapes(self):
+        base = config(n=10, rounds=3)
+        for other in (dataclasses.replace(base, n=11), dataclasses.replace(base, rounds=4)):
+            with pytest.raises(ValueError, match="share n and rounds"):
+                correctness_estimates([base, other], 2)
+        with pytest.raises(ValueError):
+            correctness_estimates([], 2)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jurymech.dynamics import batch_cells, correctness_estimate
 from jurymech.model import AwardLossSharingPayment, TabulatedPayment, ThresholdPayment
 from jurymech.sweep import (
     PRESETS,
@@ -147,9 +148,40 @@ class TestRunSweep:
         parallel = run_sweep(TINY, threads=2)
         assert np.array_equal(serial.grid, parallel.grid)
 
+    def test_batches_match_single_cells(self):
+        # 21 cells in batches of 4: the last batch holds one cell
+        grid = SweepConfig(
+            axis=Axis.REWARD_THRESHOLD,
+            x_min=0.0,
+            x_max=5.0,
+            x_steps=7,
+            rho_steps=3,
+            n=100,
+            rounds=4,
+            samples=20,
+            master_seed=2**40 + 1,
+        )
+        assert batch_cells(grid.n, grid.samples) == 4
+        assert grid.cell_simulations() == [
+            grid.cell_simulation(i, j) for i in range(3) for j in range(7)
+        ]
+        serial = run_sweep(grid, threads=1)
+        parallel = run_sweep(grid, threads=2)
+        assert serial.grid.tobytes() == parallel.grid.tobytes()
+        cells = [
+            [correctness_estimate(grid.cell_simulation(i, j), grid.samples) for j in range(7)]
+            for i in range(3)
+        ]
+        assert serial.grid.tobytes() == np.array(cells).tobytes()
+
     def test_thread_validation(self):
         with pytest.raises(ValueError):
             run_sweep(TINY, threads=0)
+
+    @pytest.mark.parametrize("threads", [2.5, True, "2", None])
+    def test_ill_typed_thread_count_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(TINY, threads=threads)
 
 
 class TestCsv:
