@@ -21,14 +21,15 @@ more configs that share n and rounds, one row per (config, sample) pair.
 Each row's generator fills its row of a shared buffer of uniforms with
 exactly the values a lone run would draw, in the same order, and then all
 rows step together one round at a time, each reading its own config's
-response table and round-0 probabilities.  The seeds of a whole batch are
-derived as one array: jurymech._seeding redoes SeedSequence's mixing in
-uint32 array arithmetic, for derive_seed(seed, k) and then for the state
-that default_rng would give PCG64 from that seed.  So every stream is
-unchanged, derive_seed stays the oracle it is tested against, and any
-sample can be replayed alone with simulate().  The buffer is capped
-at _DRAW_BUFFER doubles; past the cap it is refilled in blocks of rounds,
-with every generator kept alive between blocks.
+response table and round-0 probabilities.  A table depends only on the
+payment, so a batch builds one per distinct payment.  The seeds of a whole
+batch are derived as one array: jurymech._seeding redoes SeedSequence's
+mixing in uint32 array arithmetic, for derive_seed(seed, k) and then for
+the state that default_rng would give PCG64 from that seed.  So every
+stream is unchanged, derive_seed stays the oracle it is tested against, and
+any sample can be replayed alone with simulate().  The buffer is capped at
+_DRAW_BUFFER doubles; past the cap it is refilled in blocks of rounds, with
+every generator kept alive between blocks.
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ def _run_batch(
     zero_probs = np.array(
         [[curve.value(c.epsilon) for curve in _KINDS] for c in configs]
     ).ravel()[table_row]
-    tables = np.concatenate([_response_tables(c.payment, n) for c in configs]).ravel()
+    # one build per distinct payment: the table depends on nothing else
+    built = {p: _response_tables(p, n) for p in {c.payment for c in configs}}
+    tables = np.concatenate([built[c.payment] for c in configs]).ravel()
     # flat index of feedback count 0 in the juror's table row
     table_start = table_row * n
     total = rounds + 1

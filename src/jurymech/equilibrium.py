@@ -23,7 +23,11 @@ from .model import (
     vote_advantage,
     vote_probability,
 )
-from .payment_design import binomial_weights
+from .payment_design import _log_choose, binomial_weights
+
+# Weights per chunk of the symmetric-equilibrium scan: 2**15 doubles
+# (256 KiB) per temporary, whatever the grid size.
+_SCAN_CELLS = 2**15
 
 
 def poisson_binomial_pmf(probabilities: Sequence[float]) -> np.ndarray:
@@ -179,6 +183,49 @@ def is_simple_profile(profile: StrategyProfile) -> bool:
     return all(p >= 0.5 for p in probs) or all(p <= 0.5 for p in probs)
 
 
+def _scan_values(
+    profile: EffortProfile, advantage_table: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """g(e) = slope(e) * E[advantage] - 1 at every effort of ``grid``, with the
+    other n-1 jurors' ground-truth votes ~ Binomial(n-1, quality(e)).
+
+    The weights are exp(log C(n-1, t) + t log x + (n-1-t) log(1-x)), summed
+    in the order binomial_weights uses, so they equal its weights bit for
+    bit; the log-binomial coefficients are computed once.  Grid points go in
+    chunks of about _SCAN_CELLS weights, so no temporary grows with the grid.
+    At quality exactly 1 the binomial is the point mass at n-1, taken as its
+    limit: the log formula would give 0 * -inf there.
+    """
+    n = advantage_table.shape[0]
+    t = np.arange(n, dtype=float)
+    log_choose = _log_choose(n)
+    values = np.empty(grid.shape[0])
+    step = max(1, _SCAN_CELLS // n)
+    # two buffers, reused by every chunk: the weights and the (n-1-t) term
+    buffers = np.empty((2, min(step, grid.shape[0]), n))
+    for start in range(0, grid.shape[0], step):
+        efforts = grid[start : start + step].tolist()
+        quality = [profile.value(e) for e in efforts]
+        certain = [x == 1.0 for x in quality]
+        weights, tail = buffers[:, : len(efforts)]
+        log_x = np.array([math.log(x) for x in quality])
+        log_y = np.array([0.0 if c else math.log1p(-x) for x, c in zip(quality, certain)])
+        # filled, then scaled in place: a two-input broadcasting multiply
+        # buffers both inputs, about 128 KiB more
+        weights[:] = t
+        weights *= log_x[:, None]
+        weights += log_choose
+        tail[:] = t[::-1]
+        tail *= log_y[:, None]
+        weights += tail
+        np.exp(weights, out=weights)
+        weights[certain] = 0.0
+        weights[certain, -1] = 1.0
+        slope = np.array([profile.derivative(e) for e in efforts])
+        values[start : start + len(efforts)] = slope * (weights @ advantage_table) - 1.0
+    return values
+
+
 def find_symmetric_equilibria(
     profile: EffortProfile,
     payment: PaymentFunction,
@@ -191,7 +238,9 @@ def find_symmetric_equilibria(
     equilibrium of a homogeneous well-informed jury.
 
     Scans g(e) = slope(e) * advantage(e) - 1 on a grid over [0, effort_cap]
-    for sign changes and bisects each bracket.  Returns all roots found,
+    for sign changes and bisects each bracket.  The scan is one array
+    computation over the grid, in chunks of bounded size (see _scan_values);
+    bisection evaluates g one point at a time.  Returns all roots found,
     largest first; empty when g stays negative (no payment large enough to
     activate effort).
     """
@@ -206,20 +255,25 @@ def find_symmetric_equilibria(
     advantage_table = vote_advantage(payment, n)
 
     def g(effort: float) -> float:
-        weights = binomial_weights(n, profile.value(effort))
-        return profile.derivative(effort) * float(weights @ advantage_table) - 1.0
+        quality = profile.value(effort)
+        if quality == 1.0:  # point mass at n-1, as in _scan_values
+            expected = float(advantage_table[-1])
+        else:
+            expected = float(binomial_weights(n, quality) @ advantage_table)
+        return profile.derivative(effort) * expected - 1.0
 
     grid = np.linspace(0.0, effort_cap, scan_points)
-    values = [g(e) for e in grid]
+    values = _scan_values(profile, advantage_table, grid)
+    brackets = np.flatnonzero(
+        ((values[:-1] == 0.0) & (grid[:-1] > 0.0)) | (values[:-1] * values[1:] < 0.0)
+    )
 
     roots: list[float] = []
-    for k in range(scan_points - 1):
+    for k in brackets.tolist():
         lo, hi = grid[k], grid[k + 1]
-        g_lo, g_hi = values[k], values[k + 1]
-        if g_lo == 0.0 and lo > 0.0:
+        g_lo = values[k]
+        if g_lo == 0.0:
             roots.append(float(lo))
-            continue
-        if g_lo * g_hi >= 0.0:
             continue
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)

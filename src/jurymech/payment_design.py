@@ -31,10 +31,14 @@ def binomial_weights(n: int, x: float) -> np.ndarray:
     if not 0.0 < x < 1.0:
         raise ValueError(f"vote probability must lie in (0, 1), got {x}")
     t = np.arange(n)
-    log_choose = (
-        math.lgamma(n) - np.array([math.lgamma(k + 1) + math.lgamma(n - k) for k in t])
+    return np.exp(_log_choose(n) + t * math.log(x) + (n - 1 - t) * math.log1p(-x))
+
+
+def _log_choose(n: int) -> np.ndarray:
+    """log C(n-1, t) for t = 0..n-1, from lgamma."""
+    return math.lgamma(n) - np.array(
+        [math.lgamma(k + 1) + math.lgamma(n - k) for k in range(n)]
     )
-    return np.exp(log_choose + t * math.log(x) + (n - 1 - t) * math.log1p(-x))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Solves  minimize c @ v  subject to  G @ v >= h,  A @ v == b,  v >= lb,
 where individual lower bounds may be -inf (free variables).  Free variables
 are split into positive and negative parts, surplus variables turn the
 inequality rows into equalities, and phase one drives a full artificial
-basis to zero before phase two optimizes the real objective.
+basis to zero before phase two optimizes the real objective.  The phase-one
+tableau is written straight into one preallocated array, and phase two
+works on one copy of its real columns.
 
 Bland's smallest-index pivot rule is used in both phases, so the method
 terminates on degenerate problems.  A pivot updates only the rows with a
@@ -136,27 +138,28 @@ def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
     free = ~np.isfinite(lp.lower_bounds)
     shift = np.where(free, 0.0, lp.lower_bounds)
 
-    rows = np.vstack([lp.ge_matrix, lp.eq_matrix])
-    rhs = np.concatenate([lp.ge_rhs, lp.eq_rhs]) - rows @ shift
     num_ge = lp.ge_matrix.shape[0]
-    m = rows.shape[0]
-
-    # Columns: shifted originals, negative parts of free vars, surplus vars.
-    neg_part = -rows[:, free]
-    surplus = np.zeros((m, num_ge))
-    surplus[:num_ge, :] = -np.eye(num_ge)
-    body = np.hstack([rows, neg_part, surplus])
+    m = num_ge + lp.eq_matrix.shape[0]
+    num_free = int(free.sum())
+    # Columns: shifted originals, negative parts of free vars, surplus vars,
+    # then the artificials and the rhs, all written into one array.
+    num_real = n + num_free + num_ge
+    tableau = np.zeros((m, num_real + m + 1))
+    tableau[:num_ge, :n] = lp.ge_matrix
+    tableau[num_ge:, :n] = lp.eq_matrix
+    rhs = np.concatenate([lp.ge_rhs, lp.eq_rhs]) - tableau[:, :n] @ shift
+    np.negative(tableau[:, :n][:, free], out=tableau[:, n : n + num_free])
+    np.fill_diagonal(tableau[:num_ge, n + num_free : num_real], -1.0)
     costs = np.concatenate([lp.objective, -lp.objective[free], np.zeros(num_ge)])
-    num_real = body.shape[1]
 
     flip = rhs < 0.0
-    body[flip] *= -1.0
-    rhs = np.abs(rhs)
+    tableau[flip, :num_real] *= -1.0
+    np.fill_diagonal(tableau[:, num_real : num_real + m], 1.0)
+    tableau[:, -1] = np.abs(rhs)
 
     budget = _Budget(max_pivots)
 
     # Phase one: artificial basis, minimize its total size.
-    tableau = np.hstack([body, np.eye(m), rhs.reshape(-1, 1)])
     basis = np.arange(num_real, num_real + m)
     zrow = np.zeros(tableau.shape[1])
     zrow[num_real : num_real + m] = 1.0
@@ -177,7 +180,8 @@ def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
             _pivot(tableau, zrow, basis, r, int(pivots[0]))
         else:
             keep_rows[r] = False  # redundant constraint
-    tableau = tableau[keep_rows][:, list(range(num_real)) + [-1]]
+    columns = np.append(np.arange(num_real), tableau.shape[1] - 1)
+    tableau = tableau[np.ix_(keep_rows, columns)]
     basis = basis[keep_rows]
 
     # Phase two: the real objective over the feasible basis found above.
@@ -191,7 +195,7 @@ def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
     extended = np.zeros(num_real)
     extended[basis] = np.maximum(tableau[:, -1], 0.0)
     values = shift + extended[:n]
-    values[free] -= extended[n : n + int(free.sum())]
+    values[free] -= extended[n : n + num_free]
 
     _check_feasible(lp, values)
     return Solution(SolveStatus.OPTIMAL, values, float(lp.objective @ values))

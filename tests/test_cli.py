@@ -90,6 +90,16 @@ class TestFindEq:
         assert len(lines) >= 1
         assert all(line.startswith("effort=") for line in lines)
 
+    def test_quality_rounding_to_one(self, capsys):
+        # at rate 50 the signal quality is exactly 1.0 from effort ~0.736 on
+        code, out, _ = run(
+            ["find-eq", "--threshold", "3", "--n", "100", "--rate", "50"], capsys
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("effort=") for line in lines)
+
     def test_none_found(self, capsys):
         code, out, _ = run(["find-eq", "--threshold", "0.5", "--n", "100"], capsys)
         assert code == 0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from jurymech import dynamics
 from jurymech.dynamics import (
     SimulationConfig,
     assign_population,
@@ -352,6 +353,26 @@ class TestBatch:
         assert [(s.informed, s.misinformed) for s in finals] == [
             (int(row[:i].sum()), int(row[i:].sum())) for row, i in zip(votes, informed)
         ]
+
+    def test_shared_payment_builds_one_table(self, monkeypatch):
+        builds = []
+
+        def counting(payment, n):
+            builds.append(payment)
+            return _response_tables(payment, n)
+
+        monkeypatch.setattr(dynamics, "_response_tables", counting)
+        # equal payments built apart count as one
+        cells = [(0.0, 1.0, 3), (0.3, 0.5, 2**40), (0.6, 2.0, 7), (1.0, 0.0, 0), (0.9, 1.5, 2**63)]
+        configs = [
+            config(n=40, rounds=20, rho=r, epsilon=e, seed=s, payment=KlerosPayment(1.0, 2.0))
+            for r, e, s in cells
+        ]
+        estimates = correctness_estimates(configs, 6)
+        assert builds == [KlerosPayment(1.0, 2.0)]
+        singles = np.array([correctness_estimate(cfg, 6) for cfg in configs])
+        assert len(builds) == 1 + len(configs)
+        assert estimates.tobytes() == singles.tobytes()
 
     def test_batch_rejects_mixed_shapes(self):
         base = config(n=10, rounds=3)

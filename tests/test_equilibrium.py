@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jurymech.equilibrium import (
     BestResponse,
+    _scan_values,
     best_response,
     best_response_to_pmf,
     find_symmetric_equilibria,
@@ -423,3 +425,132 @@ class TestSymmetricEquilibria:
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=name):
             find_symmetric_equilibria(WELL, ThresholdPayment(3.0), 10, **kwargs)
+
+
+def scalar_g(profile: EffortProfile, table: np.ndarray):
+    """g(e) = slope(e) * E[advantage] - 1 one effort at a time, the reference
+    for the array scan; quality 1 puts all n-1 other votes on the truth."""
+    n = len(table)
+
+    def g(effort: float) -> float:
+        quality = profile.value(effort)
+        if quality == 1.0:
+            expected = float(table[-1])
+        else:
+            expected = float(binomial_weights(n, quality) @ table)
+        return profile.derivative(effort) * expected - 1.0
+
+    return g
+
+
+def scalar_scan_roots(g, grid: np.ndarray, values: list[float], tol: float = 1e-8):
+    """The root finder's bracketing and bisection over scalar scan values."""
+    roots = []
+    for k in range(len(grid) - 1):
+        lo, hi = grid[k], grid[k + 1]
+        g_lo, g_hi = values[k], values[k + 1]
+        if g_lo == 0.0 and lo > 0.0:
+            roots.append(float(lo))
+            continue
+        if g_lo * g_hi >= 0.0:
+            continue
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            g_mid = g(mid)
+            if g_mid == 0.0:
+                lo = hi = mid
+                break
+            if (g_lo < 0.0) == (g_mid < 0.0):
+                lo, g_lo = mid, g_mid
+            else:
+                hi = mid
+        root = float(0.5 * (lo + hi))
+        if root > 0.0 and abs(g(root)) <= tol:
+            roots.append(root)
+    roots.sort(reverse=True)
+    deduped = []
+    for r in roots:
+        if not deduped or abs(deduped[-1] - r) > 1e-9:
+            deduped.append(r)
+    return deduped
+
+
+def assert_matches_scalar(values: np.ndarray, reference: list[float]) -> None:
+    # The weights are bit-identical (see the unit-table test); the sums over
+    # them go in another order (matrix-vector against dot product), so they
+    # may differ in the last bits of slope * E[advantage], which reaches
+    # about 7 with the payments below.
+    scale = np.maximum(1.0, np.abs(np.add(reference, 1.0)))
+    assert np.all(np.abs(values - reference) <= 1e-15 * scale)
+
+
+def scan_payment(kind: str, n: int):
+    if kind == "threshold":
+        return ThresholdPayment(20.0)
+    if kind == "kleros":
+        return KlerosPayment(1.0, 20.0)
+    return design_payments(n, 0.8).payment
+
+
+FAST = EffortProfile(AgentKind.WELL_INFORMED, rate=50.0)
+
+
+class TestSymmetricScan:
+    def test_quality_rounding_to_one(self):
+        # From effort ~0.736 on, quality is exactly 1.0 at rate 50; g still
+        # changes sign twice below 0.3 (-1 at 0, +43 at 0.002).
+        assert FAST.value(0.74) == 1.0
+        roots = find_symmetric_equilibria(FAST, ThresholdPayment(3.0), 100)
+        assert len(roots) == 2
+        g = scalar_g(FAST, vote_advantage(ThresholdPayment(3.0), 100))
+        for root in roots:
+            assert 0.0 < root < 0.3
+            assert abs(g(root)) <= 1e-8
+
+    def test_certain_quality_is_point_mass(self):
+        table = vote_advantage(ThresholdPayment(3.0), 100)
+        grid = np.array([0.74, 1.0, 20.0])
+        expected = [FAST.derivative(e) * table[-1] - 1.0 for e in grid]
+        assert _scan_values(FAST, table, grid).tolist() == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 100])
+    @pytest.mark.parametrize("kind", ["threshold", "kleros", "designed"])
+    def test_array_scan_matches_scalar_scan(self, kind, n):
+        payment = scan_payment(kind, n)
+        table = vote_advantage(payment, n)
+        g = scalar_g(WELL, table)
+        grid = np.linspace(0.0, 20.0, 10_000)
+        reference = [g(e) for e in grid]
+        assert_matches_scalar(_scan_values(WELL, table, grid), reference)
+        roots = find_symmetric_equilibria(WELL, payment, n)
+        expected = scalar_scan_roots(g, grid, reference)
+        assert len(roots) == len(expected)
+        assert np.allclose(roots, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 11, 400])
+    def test_weights_match_binomial_weights_bitwise(self, n):
+        # With a unit advantage table, g + 1 is slope times one weight.
+        grid = np.linspace(0.0, 20.0, 1000)
+        for t in {0, 1, n // 2, n - 1}:
+            table = np.zeros(n)
+            table[t] = 1.0
+            g = scalar_g(WELL, table)
+            assert _scan_values(WELL, table, grid).tolist() == [g(e) for e in grid]
+
+    def test_chunks_cover_the_grid(self):
+        # 2**15 // 100 = 327 points per chunk; 1000 points end on a partial chunk
+        table = vote_advantage(ThresholdPayment(20.0), 100)
+        g = scalar_g(WELL, table)
+        grid = np.linspace(0.0, 5.0, 1000)
+        assert_matches_scalar(_scan_values(WELL, table, grid), [g(e) for e in grid])
+
+    def test_scan_memory_is_bounded(self):
+        # Each chunk temporary is about 256 KiB; a (10000, 100) array would
+        # be 8 MB.
+        tracemalloc.start()
+        try:
+            find_symmetric_equilibria(WELL, ThresholdPayment(3.0), 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from jurymech.payment_design import DesignOptions, build_lp
 from jurymech.simplex import LinearProgram, SolveStatus, _pivot, solve
 
 
@@ -175,3 +178,18 @@ def test_sparse_pivot_matches_dense_update(shape):
         assert np.array_equal(tableau, want[0])
         assert np.array_equal(zrow, want[1])
         assert np.array_equal(basis, want[2])
+
+
+def test_tableau_memory_is_bounded():
+    # The phase-one tableau is one (202, 605) array, about 0.98 MB, and
+    # phase two takes one copy of its real columns.  Assembled from stacked
+    # blocks and identity matrices, the same solve peaked at about 4.3 MB.
+    options = DesignOptions(individual_rationality=True)
+    tracemalloc.start()
+    try:
+        sol = solve(build_lp(201, 0.75, options=options))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.status is SolveStatus.OPTIMAL
+    assert peak < 2_500_000
