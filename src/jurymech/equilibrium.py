@@ -25,16 +25,24 @@ from .model import (
 )
 from .payment_design import _log_choose, binomial_weights
 
-# Weights per chunk of the symmetric-equilibrium scan: 2**15 doubles
-# (256 KiB) per temporary, whatever the grid size.
+# Cells per chunk of the array passes (the symmetric-equilibrium scan and the
+# verifier's leave-one-out rows): 2**15 doubles (256 KiB) per temporary,
+# whatever the grid or jury size.
 _SCAN_CELLS = 2**15
+
+
+def _check_probabilities(probabilities: Sequence[float]) -> None:
+    if not all(0.0 <= p <= 1.0 for p in probabilities):  # NaN fails both
+        raise ValueError("probabilities must lie in [0, 1]")
 
 
 def poisson_binomial_pmf(probabilities: Sequence[float]) -> np.ndarray:
     """Exact PMF of a sum of independent Bernoulli trials, by convolution.
 
     O(k^2) in the number of trials; plenty for juries up to a few thousand.
+    Every probability must lie in [0, 1].
     """
+    _check_probabilities(probabilities)
     pmf = np.zeros(len(probabilities) + 1)
     pmf[0] = 1.0
     for p in probabilities:
@@ -54,6 +62,56 @@ def others_vote_pmf(profile: StrategyProfile, i: int) -> np.ndarray:
         vote_probability(e, s) for j, (e, s) in enumerate(profile.agents) if j != i
     ]
     return poisson_binomial_pmf(probs)
+
+
+def _leave_one_out_advantages(
+    probs: list[float], advantage_table: np.ndarray
+) -> list[float]:
+    """Expected vote advantage of every juror against all the others, equal
+    bit for bit to ``expected_vote_advantage(payment, others_vote_pmf(profile,
+    i), n)`` when ``probs`` are the jurors' vote probabilities.
+
+    Each PMF of the batch convolves all n jurors in poisson_binomial_pmf's
+    order, with the left-out juror's step at probability 0: x*1.0 + y*0.0 = x
+    for finite x, y >= 0, so that step changes nothing and the result is the
+    leave-one-out PMF, plus one spare count that stays 0.  Leaving out any
+    juror of one contiguous run of equal probability leaves the same ordered
+    sequence, so the run shares one PMF, which leaves out the run's first
+    juror; a symmetric profile needs one.  A step works only on the counts
+    the PMFs can reach so far (zeros elsewhere stay zeros), and the PMFs go
+    in chunks of about _SCAN_CELLS cells.
+    """
+    n = len(probs)
+    run_of = [0] * n
+    for j in range(1, n):
+        run_of[j] = run_of[j - 1] + (probs[j] != probs[j - 1])
+    num_runs = run_of[-1] + 1
+    step = max(1, _SCAN_CELLS // (n + 1))
+    advantages = []
+    # two buffers, reused by every chunk: the PMFs, one per column so that a
+    # step's slices stay contiguous, and the shifted products
+    buffers = np.empty((2, (n + 1) * min(step, num_runs)))
+    for first in range(0, num_runs, step):
+        count = min(step, num_runs - first)
+        pmfs = buffers[0, : (n + 1) * count].reshape(n + 1, count)
+        shifted = buffers[1, : n * count].reshape(n, count)
+        pmfs.fill(0.0)
+        pmfs[0] = 1.0
+        for j, p in enumerate(probs):
+            keep = np.full(count, 1.0 - p)
+            take = np.full(count, p)
+            left_out = run_of[j] - first
+            if 0 <= left_out < count and (j == 0 or run_of[j - 1] != run_of[j]):
+                keep[left_out] = 1.0
+                take[left_out] = 0.0
+            # after j steps the PMFs live on counts 0..j
+            np.multiply(pmfs[: j + 1], take, out=shifted[: j + 1])
+            pmfs[: j + 2] *= keep
+            pmfs[1 : j + 2] += shifted[: j + 1]
+        advantages += [
+            math.fsum((pmf[:n] * advantage_table).tolist()) for pmf in pmfs.T
+        ]
+    return [advantages[r] for r in run_of]
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -127,12 +185,21 @@ def verify_equilibrium(
     effort with fidelity 1 (resp. 0) needs the marginal condition
     slope * advantage = 1 (resp. -1).  Positive effort with fractional
     fidelity can never be optimal.
+
+    Each agent's expected advantage is taken against the exact distribution
+    of the other votes, the PMF ``others_vote_pmf`` gives.  All of them come
+    from one batched convolution (see _leave_one_out_advantages) with one PMF
+    per contiguous run of equal vote probability, so a symmetric profile
+    costs O(n^2) and the worst case O(n^3); the results are bit for bit those
+    of the per-agent computation.
     """
     _check_positive("tol", tol)
     n = profile.size
+    probs = [vote_probability(e, s) for e, s in profile.agents]
+    _check_probabilities(probs)
+    advantages = _leave_one_out_advantages(probs, vote_advantage(payment, n))
     verdicts = []
-    for i, (curve, strategy) in enumerate(profile.agents):
-        adv = expected_vote_advantage(payment, others_vote_pmf(profile, i), n)
+    for (curve, strategy), adv in zip(profile.agents, advantages):
         if strategy.effort == 0.0:
             residual = max(0.0, abs(curve.derivative(0.0) * adv) - 1.0)
             verdicts.append(AgentVerdict("a", residual, residual <= tol))

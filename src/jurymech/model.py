@@ -15,6 +15,7 @@ can be shared freely across threads and processes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -190,6 +191,13 @@ class Strategy:
     fidelity: float
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, so it is rejected by name
+        if (
+            not isinstance(self.effort, numbers.Real)
+            or isinstance(self.effort, bool)
+            or not math.isfinite(self.effort)
+        ):
+            raise ValueError(f"effort must be a finite real number, got {self.effort!r}")
         if self.effort < 0.0:
             raise ValueError(f"effort must be non-negative, got {self.effort}")
         if not 0.0 <= self.fidelity <= 1.0:

@@ -4,9 +4,11 @@ Solves  minimize c @ v  subject to  G @ v >= h,  A @ v == b,  v >= lb,
 where individual lower bounds may be -inf (free variables).  Free variables
 are split into positive and negative parts, surplus variables turn the
 inequality rows into equalities, and phase one drives a full artificial
-basis to zero before phase two optimizes the real objective.  The phase-one
-tableau is written straight into one preallocated array, and phase two
-works on one copy of its real columns.
+basis to zero before phase two optimizes the real objective.  The tableau
+is written straight into one preallocated array of the real columns and
+the rhs; the artificial columns are never stored, because no artificial
+can re-enter the basis and phase two has no use for them.  Phase two works
+on the same array, copied only to drop redundant rows.
 
 Bland's smallest-index pivot rule is used in both phases, so the method
 terminates on degenerate problems.  A pivot updates only the rows with a
@@ -142,9 +144,11 @@ def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
     m = num_ge + lp.eq_matrix.shape[0]
     num_free = int(free.sum())
     # Columns: shifted originals, negative parts of free vars, surplus vars,
-    # then the artificials and the rhs, all written into one array.
+    # then the rhs, all written into one array.  The artificial columns are
+    # never stored: _iterate scans only the real ones, so no artificial
+    # re-enters the basis.
     num_real = n + num_free + num_ge
-    tableau = np.zeros((m, num_real + m + 1))
+    tableau = np.zeros((m, num_real + 1))
     tableau[:num_ge, :n] = lp.ge_matrix
     tableau[num_ge:, :n] = lp.eq_matrix
     rhs = np.concatenate([lp.ge_rhs, lp.eq_rhs]) - tableau[:, :n] @ shift
@@ -154,15 +158,14 @@ def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
 
     flip = rhs < 0.0
     tableau[flip, :num_real] *= -1.0
-    np.fill_diagonal(tableau[:, num_real : num_real + m], 1.0)
     tableau[:, -1] = np.abs(rhs)
 
     budget = _Budget(max_pivots)
 
-    # Phase one: artificial basis, minimize its total size.
+    # Phase one: artificial basis (labels num_real.., no columns), minimize
+    # its total size.
     basis = np.arange(num_real, num_real + m)
-    zrow = np.zeros(tableau.shape[1])
-    zrow[num_real : num_real + m] = 1.0
+    zrow = np.zeros(num_real + 1)
     for r in range(m):
         zrow -= tableau[r]
     status = _iterate(tableau, zrow, basis, num_real, budget)
@@ -180,9 +183,9 @@ def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
             _pivot(tableau, zrow, basis, r, int(pivots[0]))
         else:
             keep_rows[r] = False  # redundant constraint
-    columns = np.append(np.arange(num_real), tableau.shape[1] - 1)
-    tableau = tableau[np.ix_(keep_rows, columns)]
-    basis = basis[keep_rows]
+    if not keep_rows.all():
+        tableau = tableau[keep_rows]
+        basis = basis[keep_rows]
 
     # Phase two: the real objective over the feasible basis found above.
     zrow = np.concatenate([costs, [0.0]])

@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import jurymech.equilibrium
 from jurymech.equilibrium import (
+    AgentVerdict,
     BestResponse,
+    EquilibriumReport,
     _scan_values,
     best_response,
     best_response_to_pmf,
@@ -106,6 +109,14 @@ class TestOthersVotePmf:
         pmf = poisson_binomial_pmf(list(rng.random(100)))
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
         assert np.all(pmf >= 0.0)
+
+    @pytest.mark.parametrize(
+        "probs", [[0.5, 1.5], [0.5, -0.25], [0.5, math.nan], [math.inf], [-math.inf, 0.5]]
+    )
+    def test_rejects_probabilities_outside_unit_interval(self, probs):
+        # [0.5, 1.5] used to return [-0.25, 0.5, 0.75], and NaN all NaN
+        with pytest.raises(ValueError, match="probabilit"):
+            poisson_binomial_pmf(probs)
 
     def test_homogeneous_matches_binomial_closed_form(self):
         profile = StrategyProfile(
@@ -270,6 +281,119 @@ class TestVerifyEquilibrium:
     def test_tolerance_must_be_finite(self, tol):
         with pytest.raises(ValueError, match="tol"):
             verify_equilibrium(uniform_profile(2), ThresholdPayment(1.0), tol=tol)
+
+
+def per_agent_report(profile, payments, tol=1e-8):
+    """verify_equilibrium as a loop over agents, one leave-one-out PMF each:
+    the reference the batched verifier must equal bit for bit."""
+    n = profile.size
+    pmfs = [others_vote_pmf(profile, i) for i in range(n)]
+    reports = []
+    for payment in payments:
+        verdicts = []
+        for pmf, (curve, strategy) in zip(pmfs, profile.agents):
+            adv = expected_vote_advantage(payment, pmf, n)
+            if strategy.effort == 0.0:
+                residual = max(0.0, abs(curve.derivative(0.0) * adv) - 1.0)
+                verdicts.append(AgentVerdict("a", residual, residual <= tol))
+            elif strategy.fidelity == 1.0:
+                residual = abs(curve.derivative(strategy.effort) * adv - 1.0)
+                verdicts.append(AgentVerdict("b", residual, residual <= tol))
+            elif strategy.fidelity == 0.0:
+                residual = abs(curve.derivative(strategy.effort) * adv + 1.0)
+                verdicts.append(AgentVerdict("c", residual, residual <= tol))
+            else:
+                verdicts.append(AgentVerdict("invalid", math.inf, False))
+        reports.append(EquilibriumReport(all(v.ok for v in verdicts), tuple(verdicts)))
+    return reports
+
+
+def random_profile(rng, n: int, shape: str) -> StrategyProfile:
+    """Heterogeneous agents drawn from few values, so equal vote
+    probabilities recur: zero effort (probability 1/2 whatever the
+    fidelity), fidelity 0, 1 and fractional, two kinds and two rates.
+    "sorted" orders them by vote probability, so equal ones form runs;
+    "symmetric" repeats one agent."""
+    curves = [WELL, MIS, EffortProfile(AgentKind.WELL_INFORMED, rate=2.5)]
+
+    def agent():
+        curve = curves[rng.integers(len(curves))]
+        effort = float(rng.choice([0.0, 0.3, 1.2, rng.uniform(0.0, 3.0)]))
+        fidelity = float(rng.choice([0.0, 1.0, 0.5, rng.random()]))
+        return curve, Strategy(effort, fidelity)
+
+    if shape == "symmetric":
+        return StrategyProfile((agent(),) * n)
+    agents = [agent() for _ in range(n)]
+    if shape == "sorted":
+        agents.sort(key=lambda a: vote_probability(*a))
+    return StrategyProfile(tuple(agents))
+
+
+def batch_payments(n: int, rng) -> list:
+    return [
+        ThresholdPayment(3.0),
+        KlerosPayment(1.0, 2.0),
+        TabulatedPayment(n, tuple(rng.uniform(-5.0, 5.0, size=n).tolist())),
+    ]
+
+
+class TestBatchedVerifier:
+    @pytest.mark.parametrize("shape", ["random", "sorted", "symmetric"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 11, 100, 400])
+    def test_matches_per_agent_loop(self, n, shape):
+        rng = np.random.default_rng(1000 * n + len(shape))
+        for _ in range(3 if n <= 11 else 1):
+            profile = random_profile(rng, n, shape)
+            payments = batch_payments(n, rng)
+            expected = per_agent_report(profile, payments)
+            assert [verify_equilibrium(profile, p) for p in payments] == expected
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            Strategy(0.0, 0.5),
+            Strategy(0.0, 1.0),
+            Strategy(0.8, 1.0),
+            Strategy(0.8, 0.0),
+            Strategy(0.8, 0.3),
+        ],
+    )
+    def test_symmetric_cases_match_per_agent_loop(self, strategy):
+        profile = StrategyProfile(((WELL, strategy),) * 11)
+        payments = batch_payments(11, np.random.default_rng(3))
+        expected = per_agent_report(profile, payments)
+        assert [verify_equilibrium(profile, p) for p in payments] == expected
+
+    def test_designed_equilibrium_matches_per_agent_loop(self):
+        design = design_payments(101, 0.75)
+        profile = StrategyProfile(((WELL, Strategy(WELL.inverse(0.75), 1.0)),) * 101)
+        report = verify_equilibrium(profile, design.payment, tol=1e-6)
+        assert report.is_equilibrium
+        assert report == per_agent_report(profile, [design.payment], tol=1e-6)[0]
+
+    @pytest.mark.parametrize("shape", ["random", "sorted"])
+    def test_many_chunks_match_per_agent_loop(self, shape, monkeypatch):
+        # 64 cells over 12 counts is 5 PMFs per chunk: 23 agents take
+        # several chunks, the last one partial.
+        monkeypatch.setattr(jurymech.equilibrium, "_SCAN_CELLS", 64)
+        profile = random_profile(np.random.default_rng(29), 23, shape)
+        payments = batch_payments(23, np.random.default_rng(30))
+        expected = per_agent_report(profile, payments)
+        assert [verify_equilibrium(profile, p) for p in payments] == expected
+
+    def test_verify_memory_is_bounded(self):
+        # Two chunk buffers of about 256 KiB each; a (400, 400) temporary
+        # would be 1.28 MB.
+        profile = random_profile(np.random.default_rng(7), 400, "random")
+        payment = ThresholdPayment(3.0)
+        tracemalloc.start()
+        try:
+            verify_equilibrium(profile, payment)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestMirror:

@@ -381,6 +381,17 @@ class TestStrategyTypes:
         with pytest.raises(ValueError):
             Strategy(0.1, 1.5)
 
+    @pytest.mark.parametrize("effort", [math.nan, math.inf, -math.inf, True, False, "1.0", None])
+    def test_effort_must_be_finite_real(self, effort):
+        # NaN used to surface as a misleading PMF error in verify_equilibrium
+        # and inf as residual 1.0; bool is an int subclass, rejected by name.
+        with pytest.raises(ValueError, match="effort"):
+            Strategy(effort, 1.0)
+
+    def test_integer_and_numpy_efforts_accepted(self):
+        assert Strategy(2, 1.0).effort == 2
+        assert Strategy(np.float64(0.5), 0.0).effort == 0.5
+
     def test_profile_needs_agents(self):
         with pytest.raises(ValueError):
             StrategyProfile(())
