@@ -279,10 +279,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (DesignError, PivotLimitError, RuntimeError, OSError) as err:

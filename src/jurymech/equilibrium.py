@@ -23,12 +23,26 @@ from .model import (
     vote_advantage,
     vote_probability,
 )
-from .payment_design import _log_choose, binomial_weights
+# bench/tracer.py wraps binomial_weights under its name in this module, so it
+# stays imported here.
+from .payment_design import _log_choose, binomial_weights  # noqa: F401
 
 # Cells per chunk of the array passes (the symmetric-equilibrium scan and the
 # verifier's leave-one-out rows): 2**15 doubles (256 KiB) per temporary,
 # whatever the grid or jury size.
 _SCAN_CELLS = 2**15
+
+# The symmetric-equilibrium search scans efforts in [0, _SCAN_RANGE / rate]
+# (qualities 1/2 to 1 - exp(-20)/2, none of which rounds to 1) at
+# _SCAN_POINTS points, and bisects every sign change to a width of
+# _BISECT_WIDTH / rate.  Efforts scale as 1/rate, and so must the width: an
+# absolute 1e-13 is below one ulp once efforts pass about 900.  Roots closer
+# than _MERGE_WIDTH / rate are one root; a root must have |g| <= _ROOT_TOL.
+_SCAN_RANGE = 20.0
+_SCAN_POINTS = 10_000
+_BISECT_WIDTH = 1e-13
+_MERGE_WIDTH = 1e-9
+_ROOT_TOL = 1e-8
 
 
 def _check_probabilities(probabilities: Sequence[float]) -> None:
@@ -260,8 +274,7 @@ def _scan_values(
     in the order binomial_weights uses, so they equal its weights bit for
     bit; the log-binomial coefficients are computed once.  Grid points go in
     chunks of about _SCAN_CELLS weights, so no temporary grows with the grid.
-    At quality exactly 1 the binomial is the point mass at n-1, taken as its
-    limit: the log formula would give 0 * -inf there.
+    Every quality must lie below 1.
     """
     n = advantage_table.shape[0]
     t = np.arange(n, dtype=float)
@@ -273,10 +286,9 @@ def _scan_values(
     for start in range(0, grid.shape[0], step):
         efforts = grid[start : start + step].tolist()
         quality = [profile.value(e) for e in efforts]
-        certain = [x == 1.0 for x in quality]
         weights, tail = buffers[:, : len(efforts)]
         log_x = np.array([math.log(x) for x in quality])
-        log_y = np.array([0.0 if c else math.log1p(-x) for x, c in zip(quality, certain)])
+        log_y = np.array([math.log1p(-x) for x in quality])
         # filled, then scaled in place: a two-input broadcasting multiply
         # buffers both inputs, about 128 KiB more
         weights[:] = t
@@ -286,80 +298,56 @@ def _scan_values(
         tail *= log_y[:, None]
         weights += tail
         np.exp(weights, out=weights)
-        weights[certain] = 0.0
-        weights[certain, -1] = 1.0
         slope = np.array([profile.derivative(e) for e in efforts])
         values[start : start + len(efforts)] = slope * (weights @ advantage_table) - 1.0
     return values
 
 
 def find_symmetric_equilibria(
-    profile: EffortProfile,
-    payment: PaymentFunction,
-    n: int,
-    effort_cap: float = 20.0,
-    scan_points: int = 10_000,
-    tol: float = 1e-8,
+    profile: EffortProfile, payment: PaymentFunction, n: int
 ) -> list[float]:
     """Positive efforts at which everyone playing (effort, fidelity 1) is an
     equilibrium of a homogeneous well-informed jury.
 
-    Scans g(e) = slope(e) * advantage(e) - 1 on a grid over [0, effort_cap]
-    for sign changes and bisects each bracket.  The scan is one array
-    computation over the grid, in chunks of bounded size (see _scan_values);
-    bisection evaluates g one point at a time.  Returns all roots found,
-    largest first; empty when g stays negative (no payment large enough to
-    activate effort).
+    Scans g(e) = slope(e) * advantage(e) - 1 over [0, 20 / rate] for sign
+    changes and bisects every bracket at once; the scan and each bisection
+    step are one _scan_values pass.  Returns all roots found, largest first;
+    empty when g stays negative (no payment large enough to activate effort).
     """
     if not profile.well_informed:
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
-    _check_positive("effort_cap", effort_cap)
-    _check_positive("tol", tol)
-    if not isinstance(scan_points, int) or isinstance(scan_points, bool) or scan_points < 2:
-        raise ValueError(f"scan_points must be an integer >= 2, got {scan_points!r}")
-    advantage_table = vote_advantage(payment, n)
-
-    def g(effort: float) -> float:
-        quality = profile.value(effort)
-        if quality == 1.0:  # point mass at n-1, as in _scan_values
-            expected = float(advantage_table[-1])
-        else:
-            expected = float(binomial_weights(n, quality) @ advantage_table)
-        return profile.derivative(effort) * expected - 1.0
-
-    grid = np.linspace(0.0, effort_cap, scan_points)
-    values = _scan_values(profile, advantage_table, grid)
+    table = vote_advantage(payment, n)
+    grid = np.linspace(0.0, _SCAN_RANGE / profile.rate, _SCAN_POINTS)
+    values = _scan_values(profile, table, grid)
     brackets = np.flatnonzero(
         ((values[:-1] == 0.0) & (grid[:-1] > 0.0)) | (values[:-1] * values[1:] < 0.0)
     )
+    on_grid = values[brackets] == 0.0
+    roots = grid[brackets[on_grid]].tolist()
 
-    roots: list[float] = []
-    for k in brackets.tolist():
-        lo, hi = grid[k], grid[k + 1]
-        g_lo = values[k]
-        if g_lo == 0.0:
-            roots.append(float(lo))
-            continue
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            g_mid = g(mid)
-            if g_mid == 0.0:
-                lo = hi = mid
-                break
-            if (g_lo < 0.0) == (g_mid < 0.0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi = mid
-        root = float(0.5 * (lo + hi))
-        if root > 0.0 and abs(g(root)) <= tol:
-            roots.append(root)
+    k = brackets[~on_grid]
+    lo, hi, g_lo = grid[k], grid[k + 1], values[k]
+    width = _BISECT_WIDTH / profile.rate
+    while (active := np.flatnonzero(hi - lo > width)).size:
+        mid = 0.5 * (lo[active] + hi[active])
+        g_mid = _scan_values(profile, table, mid)
+        # a midpoint with g exactly 0 closes its bracket there
+        zero = g_mid == 0.0
+        left = zero | ((g_lo[active] < 0.0) == (g_mid < 0.0))
+        right = zero | ~left
+        lo[active[left]] = mid[left]
+        g_lo[active[left]] = g_mid[left]
+        hi[active[right]] = mid[right]
+    mid = 0.5 * (lo + hi)
+    roots += mid[np.abs(_scan_values(profile, table, mid)) <= _ROOT_TOL].tolist()
 
     # Collapse near-duplicate brackets around the same root.
     roots.sort(reverse=True)
+    merge = _MERGE_WIDTH / profile.rate
     deduped: list[float] = []
     for r in roots:
-        if not deduped or abs(deduped[-1] - r) > 1e-9:
+        if not deduped or abs(deduped[-1] - r) > merge:
             deduped.append(r)
     return deduped

@@ -48,10 +48,6 @@ def _text(x: float, y: float, s: str, anchor: str = "middle", rotate: bool = Fal
     )
 
 
-def _tick_format(v: float) -> str:
-    return f"{v:g}"
-
-
 def render_heatmap(result: SweepResult, path: str) -> None:
     """Write one rect per grid cell plus axes and a legend bar."""
     config = result.config
@@ -86,9 +82,9 @@ def render_heatmap(result: SweepResult, path: str) -> None:
     for frac in (0.0, 0.5, 1.0):
         px = _LEFT + frac * _PLOT
         value = xs[0] + frac * (xs[-1] - xs[0])
-        parts.append(_text(px, _TOP + _PLOT + 18, _tick_format(value)))
+        parts.append(_text(px, _TOP + _PLOT + 18, f"{value:g}"))
         py = _TOP + _PLOT - frac * _PLOT
-        parts.append(_text(_LEFT - 8, py + 4, _tick_format(frac), anchor="end"))
+        parts.append(_text(_LEFT - 8, py + 4, f"{frac:g}", anchor="end"))
 
     parts.append(_text(_LEFT + _PLOT / 2, height - 14, _AXIS_LABELS[config.axis]))
     parts.append(_text(18, _TOP + _PLOT / 2, "fraction well-informed", rotate=True))

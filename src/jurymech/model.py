@@ -192,12 +192,13 @@ class Strategy:
 
     def __post_init__(self) -> None:
         # bool is an int subclass, so it is rejected by name
-        if (
-            not isinstance(self.effort, numbers.Real)
-            or isinstance(self.effort, bool)
-            or not math.isfinite(self.effort)
-        ):
-            raise ValueError(f"effort must be a finite real number, got {self.effort!r}")
+        for name, value in (("effort", self.effort), ("fidelity", self.fidelity)):
+            if (
+                not isinstance(value, numbers.Real)
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.effort < 0.0:
             raise ValueError(f"effort must be non-negative, got {self.effort}")
         if not 0.0 <= self.fidelity <= 1.0:
@@ -269,8 +270,10 @@ def expected_utility(
     that accounts for the juror's actual signal quality and fidelity.
     """
     validate_pmf(pmf, n)
-    pay_true = math.fsum(np.asarray(pmf, dtype=float) * payment.value(n))
-    adv = expected_vote_advantage(payment, pmf, n)
+    weights = np.asarray(pmf, dtype=float)
+    table = payment.value(n)
+    pay_true = math.fsum(weights * table)
+    adv = math.fsum(weights * (table - table[::-1]))
     f = profile.value(strategy.effort)
     b = strategy.fidelity
     return -strategy.effort + pay_true + (b * (2.0 * f - 1.0) - f) * adv

@@ -528,40 +528,14 @@ class TestSymmetricEquilibria:
         with pytest.raises(ValueError):
             find_symmetric_equilibria(MIS, ThresholdPayment(3.0), 10)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"tol": math.nan},
-            {"tol": math.inf},
-            {"tol": 0.0},
-            {"scan_points": 0},
-            {"scan_points": 1},
-            {"scan_points": 2.5},
-            {"scan_points": True},
-            {"effort_cap": 0.0},
-            {"effort_cap": -1.0},
-            {"effort_cap": math.nan},
-            {"effort_cap": math.inf},
-        ],
-        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
-    )
-    def test_rejects_bad_search_settings(self, kwargs):
-        name = next(iter(kwargs))
-        with pytest.raises(ValueError, match=name):
-            find_symmetric_equilibria(WELL, ThresholdPayment(3.0), 10, **kwargs)
-
 
 def scalar_g(profile: EffortProfile, table: np.ndarray):
     """g(e) = slope(e) * E[advantage] - 1 one effort at a time, the reference
-    for the array scan; quality 1 puts all n-1 other votes on the truth."""
+    for the array scan."""
     n = len(table)
 
     def g(effort: float) -> float:
-        quality = profile.value(effort)
-        if quality == 1.0:
-            expected = float(table[-1])
-        else:
-            expected = float(binomial_weights(n, quality) @ table)
+        expected = float(binomial_weights(n, profile.value(effort)) @ table)
         return profile.derivative(effort) * expected - 1.0
 
     return g
@@ -621,8 +595,9 @@ FAST = EffortProfile(AgentKind.WELL_INFORMED, rate=50.0)
 
 class TestSymmetricScan:
     def test_quality_rounding_to_one(self):
-        # From effort ~0.736 on, quality is exactly 1.0 at rate 50; g still
-        # changes sign twice below 0.3 (-1 at 0, +43 at 0.002).
+        # From effort ~0.736 on, quality is exactly 1.0 at rate 50; the scan
+        # stops at 20/50 = 0.4, and g changes sign twice below 0.3 (-1 at 0,
+        # +43 at 0.002).
         assert FAST.value(0.74) == 1.0
         roots = find_symmetric_equilibria(FAST, ThresholdPayment(3.0), 100)
         assert len(roots) == 2
@@ -631,11 +606,31 @@ class TestSymmetricScan:
             assert 0.0 < root < 0.3
             assert abs(g(root)) <= 1e-8
 
-    def test_certain_quality_is_point_mass(self):
-        table = vote_advantage(ThresholdPayment(3.0), 100)
-        grid = np.array([0.74, 1.0, 20.0])
-        expected = [FAST.derivative(e) * table[-1] - 1.0 for e in grid]
-        assert _scan_values(FAST, table, grid).tolist() == expected
+    def test_scan_range_follows_the_rate(self):
+        # At rate 0.01 the high-effort root sits at 40.47, past the fixed
+        # effort cap of 20 the search used to scan up to.
+        slow = EffortProfile(AgentKind.WELL_INFORMED, rate=0.01)
+        roots = find_symmetric_equilibria(slow, ThresholdPayment(300.0), 100)
+        assert len(roots) == 2
+        assert roots[0] == pytest.approx(40.466484, abs=1e-6)
+        assert roots[1] == pytest.approx(12.658237, abs=1e-6)
+
+    @pytest.mark.parametrize("rate", [1e-300, 0.01, 50.0, 1e6])
+    def test_roots_scale_as_one_over_rate(self, rate):
+        # slope * advantage is unchanged when efforts scale by 1/rate and
+        # payments by 1/rate, so the roots are the rate-1 roots over rate.
+        profile = EffortProfile(AgentKind.WELL_INFORMED, rate=rate)
+        cases = [(ThresholdPayment(3.0), ThresholdPayment(3.0 / rate), 100)]
+        for n in (2, 3, 11, 100):
+            cases.append((ThresholdPayment(20.0), ThresholdPayment(20.0 / rate), n))
+            cases.append((KlerosPayment(1.0, 20.0), KlerosPayment(1.0 / rate, 20.0 / rate), n))
+            designed = scan_payment("designed", n)
+            scaled = TabulatedPayment(n, tuple(v / rate for v in designed.values))
+            cases.append((designed, scaled, n))
+        for payment, scaled, n in cases:
+            expected = [r / rate for r in find_symmetric_equilibria(WELL, payment, n)]
+            roots = find_symmetric_equilibria(profile, scaled, n)
+            assert roots == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 11, 100])
     @pytest.mark.parametrize("kind", ["threshold", "kleros", "designed"])

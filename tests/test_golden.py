@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of the small sweep CSVs, of one simulate
-dump and of a grid of design LP results.  Any change to a random stream, a
+dump, of a grid of design LP results and of a set of symmetric-equilibrium
+roots.  Any change to a random stream, a
 response table, the output format or a simplex pivot moves one of these
 hashes, so a refactor that claims bit-identical output is checked here
 rather than by hand."""
@@ -10,7 +11,9 @@ import hashlib
 import pytest
 
 from jurymech.cli import cli_main
-from jurymech.payment_design import DesignOptions, build_lp
+from jurymech.equilibrium import find_symmetric_equilibria
+from jurymech.model import AgentKind, EffortProfile, KlerosPayment, ThresholdPayment
+from jurymech.payment_design import DesignOptions, build_lp, design_payments
 from jurymech.simplex import solve
 
 SWEEP_CSV_SHA256 = {
@@ -89,3 +92,29 @@ def test_design_lp_grid():
         "RuntimeError": 4,
     }
     assert digest.hexdigest() == LP_GRID_SHA256
+
+
+ROOT_CASES = [
+    ("threshold", 100, ThresholdPayment(round(2.8 + 0.1 * i, 1))) for i in range(13)
+] + [
+    (kind, n, payment)
+    for n in (2, 3, 11, 100)
+    for kind, payment in (
+        ("threshold", ThresholdPayment(20.0)),
+        ("kleros", KlerosPayment(1.0, 20.0)),
+        ("designed", design_payments(n, 0.8).payment),
+    )
+]
+ROOTS_SHA256 = "8a3cd6b8bd136bc2f866e445a063194741812991ecc7dd41bd726bbf95de0802"
+
+
+def test_symmetric_roots_at_rate_one():
+    """The roots of find_symmetric_equilibria at rate 1, bit for bit: the
+    thresholds 2.8..4.0 at n=100 and the payments of the array-scan tests
+    (``scan_payment`` in test_equilibrium.py)."""
+    well = EffortProfile(AgentKind.WELL_INFORMED)
+    digest = hashlib.sha256()
+    for kind, n, payment in ROOT_CASES:
+        roots = find_symmetric_equilibria(well, payment, n)
+        digest.update(repr((kind, n, roots)).encode("utf-8"))
+    assert digest.hexdigest() == ROOTS_SHA256

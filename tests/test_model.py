@@ -392,6 +392,17 @@ class TestStrategyTypes:
         assert Strategy(2, 1.0).effort == 2
         assert Strategy(np.float64(0.5), 0.0).effort == 0.5
 
+    @pytest.mark.parametrize("fidelity", [math.nan, True, False, "1", None])
+    def test_fidelity_must_be_real(self, fidelity):
+        # True used to be stored as is and read as fidelity 1.0 by the
+        # verifier; "1" raised TypeError from the range comparison.
+        with pytest.raises(ValueError, match="fidelity"):
+            Strategy(0.5, fidelity)
+
+    def test_integer_and_numpy_fidelities_accepted(self):
+        assert Strategy(0.5, 1).fidelity == 1
+        assert Strategy(0.5, np.float64(0.25)).fidelity == 0.25
+
     def test_profile_needs_agents(self):
         with pytest.raises(ValueError):
             StrategyProfile(())
