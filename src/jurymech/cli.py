@@ -3,7 +3,7 @@
 Subcommands:
   best-response   closed-form response to a given vote advantage
   check-payment   simple-equilibrium condition and monotonicity of a payment
-  design          LP payment design; writes a payment-table CSV
+  design          cheapest payment table for a target vote fraction; writes CSV
   find-eq         symmetric-equilibrium efforts for a payment
   simulate        one trajectory, one line per round: "round,t_count"
   sweep           correctness grid to CSV (and SVG heatmap)
@@ -43,8 +43,7 @@ from .model import (
     TabulatedPayment,
     ThresholdPayment,
 )
-from .payment_design import DesignError, DesignOptions, design_payments
-from .simplex import PivotLimitError
+from .payment_design import DesignOptions, design_payments
 from .sweep import PRESETS, config_from_json, run_sweep, write_csv
 
 
@@ -239,7 +238,7 @@ def build_parser() -> _Parser:
     _add_common(sub)
     sub.set_defaults(handler=_cmd_check_payment)
 
-    sub = subparsers.add_parser("design", help="LP payment design")
+    sub = subparsers.add_parser("design", help="cheapest payment design")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--target", type=float, required=True, help="vote fraction in (1/2, 1)")
     sub.add_argument("--rate", type=_finite, default=1.0)
@@ -282,7 +281,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ValueError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (DesignError, PivotLimitError, RuntimeError, OSError) as err:
+    except (RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

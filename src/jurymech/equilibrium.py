@@ -265,20 +265,23 @@ def is_simple_profile(profile: StrategyProfile) -> bool:
 
 
 def _scan_values(
-    profile: EffortProfile, advantage_table: np.ndarray, grid: np.ndarray
+    profile: EffortProfile,
+    advantage_table: np.ndarray,
+    log_choose: np.ndarray,
+    grid: np.ndarray,
 ) -> np.ndarray:
     """g(e) = slope(e) * E[advantage] - 1 at every effort of ``grid``, with the
     other n-1 jurors' ground-truth votes ~ Binomial(n-1, quality(e)).
 
     The weights are exp(log C(n-1, t) + t log x + (n-1-t) log(1-x)), summed
     in the order binomial_weights uses, so they equal its weights bit for
-    bit; the log-binomial coefficients are computed once.  Grid points go in
-    chunks of about _SCAN_CELLS weights, so no temporary grows with the grid.
+    bit; ``log_choose`` is _log_choose(n), which the caller computes once per
+    search.  Grid points go in chunks of about _SCAN_CELLS weights, so no
+    temporary grows with the grid.
     Every quality must lie below 1.
     """
     n = advantage_table.shape[0]
     t = np.arange(n, dtype=float)
-    log_choose = _log_choose(n)
     values = np.empty(grid.shape[0])
     step = max(1, _SCAN_CELLS // n)
     # two buffers, reused by every chunk: the weights and the (n-1-t) term
@@ -319,8 +322,9 @@ def find_symmetric_equilibria(
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
     table = vote_advantage(payment, n)
+    log_choose = _log_choose(n)
     grid = np.linspace(0.0, _SCAN_RANGE / profile.rate, _SCAN_POINTS)
-    values = _scan_values(profile, table, grid)
+    values = _scan_values(profile, table, log_choose, grid)
     brackets = np.flatnonzero(
         ((values[:-1] == 0.0) & (grid[:-1] > 0.0)) | (values[:-1] * values[1:] < 0.0)
     )
@@ -332,7 +336,7 @@ def find_symmetric_equilibria(
     width = _BISECT_WIDTH / profile.rate
     while (active := np.flatnonzero(hi - lo > width)).size:
         mid = 0.5 * (lo[active] + hi[active])
-        g_mid = _scan_values(profile, table, mid)
+        g_mid = _scan_values(profile, table, log_choose, mid)
         # a midpoint with g exactly 0 closes its bracket there
         zero = g_mid == 0.0
         left = zero | ((g_lo[active] < 0.0) == (g_mid < 0.0))
@@ -341,7 +345,8 @@ def find_symmetric_equilibria(
         g_lo[active[left]] = g_mid[left]
         hi[active[right]] = mid[right]
     mid = 0.5 * (lo + hi)
-    roots += mid[np.abs(_scan_values(profile, table, mid)) <= _ROOT_TOL].tolist()
+    g_mid = _scan_values(profile, table, log_choose, mid)
+    roots += mid[np.abs(g_mid) <= _ROOT_TOL].tolist()
 
     # Collapse near-duplicate brackets around the same root.
     roots.sort(reverse=True)

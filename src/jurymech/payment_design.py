@@ -1,12 +1,20 @@
-"""LP-based payment design for homogeneous well-informed juries.
+"""Cheapest payment design for homogeneous well-informed juries.
 
-Builds the linear program whose variables are the payment table entries
+The design problem is a linear program over the payment table entries
 p(1/n), ..., p(1): minimize the expected per-juror payment at the target
 equilibrium, subject to the simple-equilibrium row differences being
 non-negative and the marginal condition pinning the vote advantage at the
 target value.  Payments are anchored from below (default 0) because the
 constraints are invariant under adding a constant to the whole table, which
-would otherwise let the objective fall without limit.
+would otherwise let the objective fall without limit.  ``build_lp`` states
+that program.
+
+``design_payments`` solves it in closed form.  A table that steps up by R
+once at least s+1 jurors voted a juror's way costs R * C(s) above its base
+and has advantage R * W(s), where C and W are tail sums of the objective
+and equality rows; the cheapest step is the s minimising C(s) / W(s), and
+it pays only on the most informative outcomes (Innes, J. Econ. Theory 52,
+1990).  The step table is nondecreasing, so the monotone rows hold too.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AgentKind, EffortProfile, TabulatedPayment
-from .simplex import LinearProgram, SolveStatus, solve
+from .simplex import LinearProgram, SolveStatus
 
 
 def binomial_weights(n: int, x: float) -> np.ndarray:
@@ -53,11 +61,17 @@ class DesignOptions:
 
 
 class DesignError(RuntimeError):
-    """Payment design did not reach an optimal LP solution."""
+    """The design LP has no optimum; ``status`` says why."""
 
     def __init__(self, status: SolveStatus) -> None:
         super().__init__(f"payment design LP ended with status {status.value}")
         self.status = status
+
+
+# Steps whose cost per unit of advantage lies within this relative distance
+# of the least one count as tied; among them the one with the most advantage
+# per unit of payout wins, which gives the smallest payout.
+_TIE_TOL = 1e-9
 
 
 def _check_target(n: int, x: float, profile: EffortProfile) -> None:
@@ -69,6 +83,18 @@ def _check_target(n: int, x: float, profile: EffortProfile) -> None:
         raise ValueError("payment design assumes well-informed jurors")
 
 
+def _design_rows(n: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """The LP's objective and equality rows over the n table entries.
+
+    A count of t ground-truth votes among the others, with weight z[t],
+    puts a same-side juror on entry t and an opposite-side juror on entry
+    n-1-t.  So entry t costs x z[t] + (1-x) z[n-1-t] in expectation and adds
+    z[t] - z[n-1-t] to the vote advantage.
+    """
+    z = binomial_weights(n, x)
+    return x * z + (1.0 - x) * z[::-1], z - z[::-1]
+
+
 def build_lp(
     n: int,
     x: float,
@@ -77,47 +103,30 @@ def build_lp(
 ) -> LinearProgram:
     """Assemble the design LP over the n payment-table variables.
 
-    Variable k (0-based) is the payment at fraction (k+1)/n.  A count of t
-    ground-truth votes among the others puts a same-side juror at fraction
-    (1+t)/n and an opposite-side juror at (n-t)/n.
+    Variable k (0-based) is the payment at fraction (k+1)/n.  Row m of the
+    simple condition asks p[m+1] - p[m] + p[n-1-m] - p[n-2-m] >= 0.
     """
     _check_target(n, x, profile)
-    z = binomial_weights(n, x)
-
-    objective = np.zeros(n)
-    equality = np.zeros(n)
-    for t in range(n):
-        objective[t] += x * z[t]  # voted with the t ground-truth voters
-        objective[n - 1 - t] += (1.0 - x) * z[t]  # voted against them
-        equality[t] += z[t]
-        equality[n - 1 - t] -= z[t]
-
+    objective, equality = _design_rows(n, x)
     target_advantage = 1.0 / profile.derivative(profile.inverse(x))
 
-    ge_rows = []
-    for m in range(n - 1):
-        row = np.zeros(n)
-        row[m + 1] += 1.0
-        row[m] -= 1.0
-        row[n - m - 1] += 1.0
-        row[n - m - 2] -= 1.0
-        ge_rows.append(row)
+    # diff[m] @ p is p[m+1] - p[m]
+    diff = np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
+    ge_rows = [diff - diff[:, ::-1]]
     if options.require_monotone:
-        for k in range(n - 1):
-            row = np.zeros(n)
-            row[k + 1] += 1.0
-            row[k] -= 1.0
-            ge_rows.append(row)
-    ge_rhs = [0.0] * len(ge_rows)
+        ge_rows.append(diff)
     if options.individual_rationality:
         # Expected payment must cover the effort spent at the equilibrium.
-        ge_rows.append(objective.copy())
-        ge_rhs.append(profile.inverse(x))
+        ge_rows.append(objective.reshape(1, -1))
+    ge_matrix = np.vstack(ge_rows)
+    ge_rhs = np.zeros(ge_matrix.shape[0])
+    if options.individual_rationality:
+        ge_rhs[-1] = profile.inverse(x)
 
     return LinearProgram(
         objective=objective,
-        ge_matrix=np.array(ge_rows),
-        ge_rhs=np.array(ge_rhs),
+        ge_matrix=ge_matrix,
+        ge_rhs=ge_rhs,
         eq_matrix=equality.reshape(1, -1),
         eq_rhs=np.array([target_advantage]),
         lower_bounds=np.full(n, options.lower_bound),
@@ -143,16 +152,46 @@ def design_payments(
     """Design the cheapest payment table inducing the target equilibrium.
 
     The returned table makes everyone playing (inverse(x), fidelity 1) an
-    equilibrium with an expected x-fraction of ground-truth votes.
+    equilibrium with an expected x-fraction of ground-truth votes.  It is
+    ``build_lp``'s optimum: the step of least C(s) / W(s), paying
+    A / W(s) for the target advantage A, on a base of the lower bound,
+    raised under individual rationality until the expected payment covers
+    the effort.
+
+    Raises DesignError (unbounded) for an unanchored table without
+    individual rationality, and ValueError when no step's advantage or
+    payout is representable in double precision.
     """
     _check_target(n, x, profile)
-    solution = solve(build_lp(n, x, profile, options))
-    if solution.status is not SolveStatus.OPTIMAL:
-        raise DesignError(solution.status)
-    assert solution.values is not None
+    effort = profile.inverse(x)
+    target_advantage = 1.0 / profile.derivative(effort)
+    if options.lower_bound == -math.inf and not options.individual_rationality:
+        raise DesignError(SolveStatus.UNBOUNDED)
+
+    objective, equality = _design_rows(n, x)
+    cost = np.cumsum(objective[::-1])[::-1]  # C(s), the step's expected cost
+    advantage = np.cumsum(equality[::-1])[::-1]  # W(s), the step's advantage
+    # Step 0 is the constant table.  At or below this floor W has lost
+    # precision to underflow, and A / W is at the edge of overflow.
+    steps = 1 + np.flatnonzero(advantage[1:] > n * np.finfo(float).tiny)
+    if steps.size == 0:
+        raise ValueError(f"no payment step at n={n}, x={x} has a representable advantage")
+    ratio = cost[steps] / advantage[steps]
+    tied = steps[ratio <= ratio.min() * (1.0 + _TIE_TOL)]
+    step = int(tied[np.argmax(advantage[tied])])
+    payout = target_advantage / float(advantage[step])
+    if not math.isfinite(payout):
+        raise ValueError(f"the payout of the cheapest step at n={n}, x={x} is not finite")
+
+    step_cost = payout * float(cost[step])
+    base = options.lower_bound
+    if options.individual_rationality:
+        base = max(base, effort - step_cost)
+    table = np.full(n, base)
+    table[step:] += payout
     return PaymentDesign(
-        payment=TabulatedPayment(n, tuple(solution.values)),
-        target_advantage=1.0 / profile.derivative(profile.inverse(x)),
-        equilibrium_effort=profile.inverse(x),
-        expected_cost=solution.objective_value,
+        payment=TabulatedPayment(n, tuple(table.tolist())),
+        target_advantage=target_advantage,
+        equilibrium_effort=effort,
+        expected_cost=base + step_cost,
     )

@@ -61,6 +61,29 @@ class TestDesign:
         table = read_payment_table(str(path))
         assert table.jury_size == 11
 
+    @pytest.mark.parametrize(
+        "flags,cost",
+        [
+            (["--n", "101", "--target", "0.51"], "1.078872"),
+            (["--n", "51", "--target", "0.75", "--monotone"], "3.000000"),
+            (["--n", "201", "--target", "0.75", "--monotone"], "3.000000"),
+            (["--n", "2001", "--target", "0.6"], "1.500000"),
+        ],
+    )
+    def test_expected_cost(self, flags, cost, tmp_path, capsys):
+        code, out, _ = run(["design", *flags, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert f"expected per-juror cost: {cost}" in out
+
+    def test_unanchored_design_is_a_solver_failure(self, tmp_path, capsys):
+        code, _, err = run(
+            ["design", "--n", "11", "--target", "0.75", "--lower-bound=-inf",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "unbounded" in err
+
     def test_table_round_trip(self, tmp_path):
         table = TabulatedPayment(4, (0.0, -1.5, 2.25, 1e-3))
         path = tmp_path / "table.csv"

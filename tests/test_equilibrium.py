@@ -35,7 +35,7 @@ from jurymech.model import (
     vote_advantage,
     vote_probability,
 )
-from jurymech.payment_design import binomial_weights, design_payments
+from jurymech.payment_design import _log_choose, binomial_weights, design_payments
 
 WELL = EffortProfile(AgentKind.WELL_INFORMED)
 MIS = EffortProfile(AgentKind.MISINFORMED)
@@ -640,7 +640,8 @@ class TestSymmetricScan:
         g = scalar_g(WELL, table)
         grid = np.linspace(0.0, 20.0, 10_000)
         reference = [g(e) for e in grid]
-        assert_matches_scalar(_scan_values(WELL, table, grid), reference)
+        values = _scan_values(WELL, table, _log_choose(n), grid)
+        assert_matches_scalar(values, reference)
         roots = find_symmetric_equilibria(WELL, payment, n)
         expected = scalar_scan_roots(g, grid, reference)
         assert len(roots) == len(expected)
@@ -654,14 +655,16 @@ class TestSymmetricScan:
             table = np.zeros(n)
             table[t] = 1.0
             g = scalar_g(WELL, table)
-            assert _scan_values(WELL, table, grid).tolist() == [g(e) for e in grid]
+            values = _scan_values(WELL, table, _log_choose(n), grid)
+            assert values.tolist() == [g(e) for e in grid]
 
     def test_chunks_cover_the_grid(self):
         # 2**15 // 100 = 327 points per chunk; 1000 points end on a partial chunk
         table = vote_advantage(ThresholdPayment(20.0), 100)
         g = scalar_g(WELL, table)
         grid = np.linspace(0.0, 5.0, 1000)
-        assert_matches_scalar(_scan_values(WELL, table, grid), [g(e) for e in grid])
+        values = _scan_values(WELL, table, _log_choose(100), grid)
+        assert_matches_scalar(values, [g(e) for e in grid])
 
     def test_scan_memory_is_bounded(self):
         # Each chunk temporary is about 256 KiB; a (10000, 100) array would

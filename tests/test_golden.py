@@ -1,6 +1,6 @@
 """Golden outputs: the sha256 of the small sweep CSVs, of one simulate
-dump, of a grid of design LP results and of a set of symmetric-equilibrium
-roots.  Any change to a random stream, a
+dump, of a grid of simplex results on the design LP and of a set of
+symmetric-equilibrium roots.  Any change to a random stream, a
 response table, the output format or a simplex pivot moves one of these
 hashes, so a refactor that claims bit-identical output is checked here
 rather than by hand."""
@@ -67,10 +67,12 @@ def test_design_lp_grid():
 
     The grid covers all five outcomes: 40 optimal, 2 infeasible,
     2 unbounded, 3 PivotLimitError and 4 RuntimeError from the feasibility
-    guard.  Several of the non-optimal ones are the known defects of the
-    unscaled design LP (ROADMAP item 1).  Fixing that LP is expected to
-    re-pin this hash, and the fix must say so in CHANGES.md; a pure speed-up
-    of the pivots must leave it unchanged.
+    guard.  Several of the non-optimal ones, and some optimal ones, are the
+    simplex's known defects on the unscaled design LP.  ``design_payments``
+    does not use the simplex; it takes the LP's closed-form optimum, which
+    test_payment_design.py checks.  This hash pins ``build_lp`` and
+    ``solve`` as the benchmark runs them, so a change to either that claims
+    the same results must leave it unchanged.
     """
     digest = hashlib.sha256()
     outcomes = collections.Counter()

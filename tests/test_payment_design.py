@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jurymech.equilibrium import satisfies_simple_condition
+from jurymech.equilibrium import satisfies_simple_condition, verify_equilibrium
 from jurymech.model import (
     AgentKind,
     EffortProfile,
+    Strategy,
+    StrategyProfile,
     TabulatedPayment,
     expected_vote_advantage,
 )
 from jurymech.payment_design import (
+    DesignError,
     DesignOptions,
     binomial_weights,
     build_lp,
@@ -184,3 +188,112 @@ class TestDesignPayments:
             assert np.min(lp.ge_matrix @ scaled - lp.ge_rhs) >= -1e-9
             assert abs((lp.eq_matrix @ scaled)[0] - target) <= 1e-9 * target
             assert lp.objective @ scaled >= optimum - 1e-9
+
+
+GRID_OPTIONS = {
+    "plain": DesignOptions(),
+    "monotone": DesignOptions(require_monotone=True),
+    "ir": DesignOptions(individual_rationality=True),
+    "ir-below-zero": DesignOptions(lower_bound=-5.0, individual_rationality=True),
+}
+DESIGN_GRID = [
+    (n, kind, x)
+    for n in (11, 51, 61, 75, 101, 201)
+    for kind in ("plain", "monotone", "ir")
+    for x in (0.51, 0.75, 0.99)
+] + [(11, "ir-below-zero", x) for x in (0.51, 0.75, 0.99)]
+
+
+def exact_step_ratios(n, x):
+    """C(s) / W(s) for s = 1..n-1 and W itself, in exact rational arithmetic."""
+    x = Fraction(x)
+    z = [math.comb(n - 1, t) * x**t * (1 - x) ** (n - 1 - t) for t in range(n)]
+    cost = [x * z[t] + (1 - x) * z[n - 1 - t] for t in range(n)]
+    advantage = [z[t] - z[n - 1 - t] for t in range(n)]
+    tails = [(sum(cost[s:]), sum(advantage[s:])) for s in range(1, n)]
+    return [c / w for c, w in tails], [w for _, w in tails]
+
+
+@pytest.mark.parametrize("n,kind,x", DESIGN_GRID)
+def test_step_design_is_feasible_and_certified(n, kind, x):
+    options = GRID_OPTIONS[kind]
+    design = design_payments(n, x, options=options)
+    lp = build_lp(n, x, options=options)
+    values = np.array(design.payment.values)
+    target = lp.eq_rhs[0]
+
+    # the table is one step, read back: base below entry s, base + payout on
+    step = int(np.argmax(values > values[0]))
+    payout = values[step] - values[0]
+    assert step >= 1 and payout > 0.0
+    assert np.all(values[:step] == values[0]) and np.all(values[step:] == values[step])
+
+    slack = lp.ge_matrix @ values - lp.ge_rhs
+    assert slack.min() >= -1e-9 * max(1.0, payout)
+    assert abs((lp.eq_matrix @ values)[0] - target) <= 1e-12 * target
+    assert design.target_advantage == target
+    assert design.expected_cost == pytest.approx(lp.objective @ values, rel=1e-12)
+
+    effort = WELL.inverse(x)
+    profile = StrategyProfile(tuple((WELL, Strategy(effort, 1.0)) for _ in range(n)))
+    assert verify_equilibrium(profile, design.payment, tol=1e-6).is_equilibrium
+
+    # Dual certificate: with y* = A * C(step) / W(step) the dual value,
+    # C(s) - (y*/A) W(s) >= 0 for every step s, so no step (and no
+    # nonnegative mix of steps) reaches the advantage A for less.
+    cost = np.cumsum(lp.objective[::-1])[::-1]
+    advantage = np.cumsum(lp.eq_matrix[0][::-1])[::-1]
+    dual_over_target = payout * cost[step] / target
+    gaps = cost[1:] - dual_over_target * advantage[1:]
+    assert np.all(gaps >= -1e-9 * cost[1:])
+
+    if n <= 11:
+        # Steps within the tie tolerance of the least C/W count as tied, and
+        # the tie goes to the largest W (the smallest payout).
+        ratios, tails = exact_step_ratios(n, x)
+        least = min(ratios)
+        assert ratios[step - 1] <= least * (1 + Fraction(1, 10**9))
+        assert all(tails[step - 1] >= w for r, w in zip(ratios, tails) if r == least)
+    if n <= 11 and x >= 0.75:
+        # The simplex is right on these small, well-scaled LPs.  Already at
+        # n = 21, x = 0.75 it stops 2.3e-8 above the optimum.
+        sol = solve(lp)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert design.expected_cost == pytest.approx(sol.objective_value, rel=1e-9)
+
+
+def test_unanchored_design():
+    options = DesignOptions(lower_bound=-math.inf)
+    with pytest.raises(DesignError) as err:
+        design_payments(11, 0.75, options=options)
+    assert err.value.status is SolveStatus.UNBOUNDED
+
+    for x in (0.51, 0.75, 0.99):
+        options = DesignOptions(lower_bound=-math.inf, individual_rationality=True)
+        design = design_payments(11, x, options=options)
+        assert design.expected_cost == pytest.approx(WELL.inverse(x), rel=1e-12, abs=1e-12)
+
+
+def test_overflowing_payout_is_rejected():
+    # at rate 1e-308 the target advantage 1 / (rate (1-x)) overflows
+    slow = EffortProfile(AgentKind.WELL_INFORMED, rate=1e-308)
+    with pytest.raises(ValueError, match="not finite"):
+        design_payments(11, 0.75, slow)
+
+
+@pytest.mark.parametrize("n", [1001, 2001])
+@pytest.mark.parametrize("x", [0.501, 0.51, 0.6])
+def test_large_jury_design_is_finite(n, x):
+    # Near x = 1/2 the cheapest step sits near unanimity, where W(s) is
+    # tiny and the payout A / W(s) can overflow; the design either returns
+    # a finite table or says it cannot.
+    try:
+        design = design_payments(n, x)
+    except ValueError:
+        return
+    values = np.array(design.payment.values)
+    assert np.all(np.isfinite(values)) and math.isfinite(design.expected_cost)
+    assert np.all(np.diff(values) >= 0.0)
+    z = binomial_weights(n, x)
+    advantage = float((z - z[::-1]) @ values)
+    assert advantage == pytest.approx(design.target_advantage, rel=1e-12)
