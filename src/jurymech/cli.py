@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -52,6 +53,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # read "-1e3" and "-inf" as values, as argparse reads "-5"; no option
+        # here starts with "-" and a digit, "-inf" or "-nan"
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)", re.I)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 

@@ -1,9 +1,11 @@
 """Equilibrium machinery for the jury game.
 
-Covers the exact distribution of the other jurors' vote counts, closed-form
-best responses, equilibrium verification, the fidelity-flip mirror map, the
-simple-equilibrium payment condition, and the root finder for symmetric
-equilibria of homogeneous well-informed juries.
+Covers the exact distribution of the other jurors' vote counts (the
+Poisson-binomial of a mixed jury; the Binomial(n-1, q) of a symmetric one,
+from one row kernel that ``binomial_weights`` and the symmetric scan share),
+closed-form best responses, equilibrium verification, the fidelity-flip
+mirror map, the simple-equilibrium payment condition, and the root finder
+for symmetric equilibria of homogeneous well-informed juries.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .model import (
     vote_advantage,
     vote_probability,
 )
-# bench/tracer.py wraps binomial_weights under its name in this module, so it
-# stays imported here.
-from .payment_design import _log_choose, binomial_weights  # noqa: F401
 
 # Cells per chunk of the array passes (the symmetric-equilibrium scan and the
 # verifier's leave-one-out rows): 2**15 doubles (256 KiB) per temporary,
@@ -63,6 +62,44 @@ def poisson_binomial_pmf(probabilities: Sequence[float]) -> np.ndarray:
         pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
         pmf[0] *= 1.0 - p
     return pmf
+
+
+def _log_choose(n: int) -> np.ndarray:
+    """log C(n-1, t) for t = 0..n-1, from lgamma."""
+    return math.lgamma(n) - np.array(
+        [math.lgamma(k + 1) + math.lgamma(n - k) for k in range(n)]
+    )
+
+
+def _binomial_rows(
+    qualities: Sequence[float], log_choose: np.ndarray, buffers: np.ndarray
+) -> np.ndarray:
+    """Binomial(n-1, x) PMFs exp(log C(n-1, t) + t log x + (n-1-t) log(1-x)),
+    one row per quality x in (0, 1), written into buffers[0] and returned;
+    buffers[1] takes the (n-1-t) term, and ``log_choose`` is _log_choose(n).
+    Filled, then scaled in place: a broadcasting multiply buffers its inputs."""
+    weights, tail = buffers
+    t = np.arange(log_choose.shape[0], dtype=float)
+    weights[:] = t
+    weights *= np.array([[math.log(x)] for x in qualities])
+    weights += log_choose
+    tail[:] = t[::-1]
+    tail *= np.array([[math.log1p(-x)] for x in qualities])
+    weights += tail
+    return np.exp(weights, out=weights)
+
+
+def binomial_weights(n: int, x: float) -> np.ndarray:
+    """PMF of the other jurors' ground-truth votes, Binomial(n-1, x).
+
+    Computed in log space and exponentiated, so large juries and extreme x
+    do not overflow the binomial coefficients.
+    """
+    if n < 2:
+        raise ValueError(f"need a jury of at least 2, got n={n}")
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"vote probability must lie in (0, 1), got {x}")
+    return _binomial_rows([x], _log_choose(n), np.empty((2, 1, n)))[0]
 
 
 def others_vote_pmf(profile: StrategyProfile, i: int) -> np.ndarray:
@@ -126,11 +163,6 @@ def _leave_one_out_advantages(
             math.fsum((pmf[:n] * advantage_table).tolist()) for pmf in pmfs.T
         ]
     return [advantages[r] for r in run_of]
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +239,8 @@ def verify_equilibrium(
     costs O(n^2) and the worst case O(n^3); the results are bit for bit those
     of the per-agent computation.
     """
-    _check_positive("tol", tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     n = profile.size
     probs = [vote_probability(e, s) for e, s in profile.agents]
     _check_probabilities(probs)
@@ -273,15 +306,12 @@ def _scan_values(
     """g(e) = slope(e) * E[advantage] - 1 at every effort of ``grid``, with the
     other n-1 jurors' ground-truth votes ~ Binomial(n-1, quality(e)).
 
-    The weights are exp(log C(n-1, t) + t log x + (n-1-t) log(1-x)), summed
-    in the order binomial_weights uses, so they equal its weights bit for
-    bit; ``log_choose`` is _log_choose(n), which the caller computes once per
-    search.  Grid points go in chunks of about _SCAN_CELLS weights, so no
-    temporary grows with the grid.
-    Every quality must lie below 1.
+    The weights are binomial_weights' bit for bit (one kernel), and
+    ``log_choose`` is _log_choose(n), computed once per search.  Grid points
+    go in chunks of about _SCAN_CELLS weights, so no temporary grows with the
+    grid.  Every quality must lie below 1.
     """
     n = advantage_table.shape[0]
-    t = np.arange(n, dtype=float)
     values = np.empty(grid.shape[0])
     step = max(1, _SCAN_CELLS // n)
     # two buffers, reused by every chunk: the weights and the (n-1-t) term
@@ -289,18 +319,7 @@ def _scan_values(
     for start in range(0, grid.shape[0], step):
         efforts = grid[start : start + step].tolist()
         quality = [profile.value(e) for e in efforts]
-        weights, tail = buffers[:, : len(efforts)]
-        log_x = np.array([math.log(x) for x in quality])
-        log_y = np.array([math.log1p(-x) for x in quality])
-        # filled, then scaled in place: a two-input broadcasting multiply
-        # buffers both inputs, about 128 KiB more
-        weights[:] = t
-        weights *= log_x[:, None]
-        weights += log_choose
-        tail[:] = t[::-1]
-        tail *= log_y[:, None]
-        weights += tail
-        np.exp(weights, out=weights)
+        weights = _binomial_rows(quality, log_choose, buffers[:, : len(efforts)])
         slope = np.array([profile.derivative(e) for e in efforts])
         values[start : start + len(efforts)] = slope * (weights @ advantage_table) - 1.0
     return values

@@ -7,7 +7,7 @@ non-negative and the marginal condition pinning the vote advantage at the
 target value.  Payments are anchored from below (default 0) because the
 constraints are invariant under adding a constant to the whole table, which
 would otherwise let the objective fall without limit.  ``build_lp`` states
-that program.
+that program, a ``LinearProgram`` over Binomial(n-1, x) weights.
 
 ``design_payments`` solves it in closed form.  A table that steps up by R
 once at least s+1 jurors voted a juror's way costs R * C(s) above its base
@@ -24,29 +24,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import binomial_weights
 from .model import AgentKind, EffortProfile, TabulatedPayment
-from .simplex import LinearProgram, SolveStatus
 
 
-def binomial_weights(n: int, x: float) -> np.ndarray:
-    """PMF of the other jurors' ground-truth votes, Binomial(n-1, x).
+@dataclass(frozen=True)
+class LinearProgram:
+    """minimize objective @ v  s.t.  ge_matrix @ v >= ge_rhs,  eq_matrix @ v
+    == eq_rhs,  v >= lower_bounds (-inf allowed; all else must be finite)."""
 
-    Computed in log space and exponentiated, so large juries and extreme x
-    do not overflow the binomial coefficients.
-    """
-    if n < 2:
-        raise ValueError(f"need a jury of at least 2, got n={n}")
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"vote probability must lie in (0, 1), got {x}")
-    t = np.arange(n)
-    return np.exp(_log_choose(n) + t * math.log(x) + (n - 1 - t) * math.log1p(-x))
+    objective: np.ndarray
+    ge_matrix: np.ndarray
+    ge_rhs: np.ndarray
+    eq_matrix: np.ndarray
+    eq_rhs: np.ndarray
+    lower_bounds: np.ndarray
 
-
-def _log_choose(n: int) -> np.ndarray:
-    """log C(n-1, t) for t = 0..n-1, from lgamma."""
-    return math.lgamma(n) - np.array(
-        [math.lgamma(k + 1) + math.lgamma(n - k) for k in range(n)]
-    )
+    def __post_init__(self) -> None:
+        c = np.asarray(self.objective, dtype=float)
+        n = c.shape[0]
+        g = np.asarray(self.ge_matrix, dtype=float).reshape(-1, n)
+        h = np.asarray(self.ge_rhs, dtype=float).reshape(-1)
+        a = np.asarray(self.eq_matrix, dtype=float).reshape(-1, n)
+        b = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
+        lb = np.asarray(self.lower_bounds, dtype=float).reshape(-1)
+        if g.shape[0] != h.shape[0] or a.shape[0] != b.shape[0] or lb.shape[0] != n:
+            raise ValueError("inconsistent LP dimensions")
+        if np.any(np.isposinf(lb)) or np.any(np.isnan(lb)):
+            raise ValueError("lower bounds must be finite or -inf")
+        for name, arr in (("objective", c), ("ge", g), ("rhs", h), ("eq", a), ("eq rhs", b)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite entries in {name}")
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "ge_matrix", g)
+        object.__setattr__(self, "ge_rhs", h)
+        object.__setattr__(self, "eq_matrix", a)
+        object.__setattr__(self, "eq_rhs", b)
+        object.__setattr__(self, "lower_bounds", lb)
 
 
 @dataclass(frozen=True)
@@ -61,10 +75,10 @@ class DesignOptions:
 
 
 class DesignError(RuntimeError):
-    """The design LP has no optimum; ``status`` says why."""
+    """The design LP has no optimum; ``status`` says why ("unbounded")."""
 
-    def __init__(self, status: SolveStatus) -> None:
-        super().__init__(f"payment design LP ended with status {status.value}")
+    def __init__(self, status: str) -> None:
+        super().__init__(f"payment design LP ended with status {status}")
         self.status = status
 
 
@@ -74,25 +88,27 @@ class DesignError(RuntimeError):
 _TIE_TOL = 1e-9
 
 
-def _check_target(n: int, x: float, profile: EffortProfile) -> None:
-    if n < 2:
-        raise ValueError(f"need a jury of at least 2, got n={n}")
-    if not 0.5 < x < 1.0:
-        raise ValueError(f"target vote fraction must lie in (1/2, 1), got {x}")
-    if profile.kind is not AgentKind.WELL_INFORMED:
-        raise ValueError("payment design assumes well-informed jurors")
-
-
-def _design_rows(n: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """The LP's objective and equality rows over the n table entries.
+def _design_problem(
+    n: int, x: float, profile: EffortProfile
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Check the target; return the equilibrium effort, the target advantage
+    and the LP's objective and equality rows over the n table entries.
 
     A count of t ground-truth votes among the others, with weight z[t],
     puts a same-side juror on entry t and an opposite-side juror on entry
     n-1-t.  So entry t costs x z[t] + (1-x) z[n-1-t] in expectation and adds
     z[t] - z[n-1-t] to the vote advantage.
     """
+    if n < 2:
+        raise ValueError(f"need a jury of at least 2, got n={n}")
+    if not 0.5 < x < 1.0:
+        raise ValueError(f"target vote fraction must lie in (1/2, 1), got {x}")
+    if profile.kind is not AgentKind.WELL_INFORMED:
+        raise ValueError("payment design assumes well-informed jurors")
+    effort = profile.inverse(x)
     z = binomial_weights(n, x)
-    return x * z + (1.0 - x) * z[::-1], z - z[::-1]
+    objective, equality = x * z + (1.0 - x) * z[::-1], z - z[::-1]
+    return effort, 1.0 / profile.derivative(effort), objective, equality
 
 
 def build_lp(
@@ -106,9 +122,7 @@ def build_lp(
     Variable k (0-based) is the payment at fraction (k+1)/n.  Row m of the
     simple condition asks p[m+1] - p[m] + p[n-1-m] - p[n-2-m] >= 0.
     """
-    _check_target(n, x, profile)
-    objective, equality = _design_rows(n, x)
-    target_advantage = 1.0 / profile.derivative(profile.inverse(x))
+    effort, target_advantage, objective, equality = _design_problem(n, x, profile)
 
     # diff[m] @ p is p[m+1] - p[m]
     diff = np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
@@ -121,7 +135,7 @@ def build_lp(
     ge_matrix = np.vstack(ge_rows)
     ge_rhs = np.zeros(ge_matrix.shape[0])
     if options.individual_rationality:
-        ge_rhs[-1] = profile.inverse(x)
+        ge_rhs[-1] = effort
 
     return LinearProgram(
         objective=objective,
@@ -162,13 +176,10 @@ def design_payments(
     individual rationality, and ValueError when no step's advantage or
     payout is representable in double precision.
     """
-    _check_target(n, x, profile)
-    effort = profile.inverse(x)
-    target_advantage = 1.0 / profile.derivative(effort)
+    effort, target_advantage, objective, equality = _design_problem(n, x, profile)
     if options.lower_bound == -math.inf and not options.individual_rationality:
-        raise DesignError(SolveStatus.UNBOUNDED)
+        raise DesignError("unbounded")
 
-    objective, equality = _design_rows(n, x)
     cost = np.cumsum(objective[::-1])[::-1]  # C(s), the step's expected cost
     advantage = np.cumsum(equality[::-1])[::-1]  # W(s), the step's advantage
     # Step 0 is the constant table.  At or below this floor W has lost

@@ -1,4 +1,7 @@
-"""Dense two-phase simplex solver.
+"""Dense two-phase simplex solver for payment_design.LinearProgram.
+
+No library path calls it (``design_payments`` has a closed form); the
+tests and the benchmark import it as ``jurymech.simplex`` to cross-check.
 
 Solves  minimize c @ v  subject to  G @ v >= h,  A @ v == b,  v >= lb,
 where individual lower bounds may be -inf (free variables).  Free variables
@@ -25,6 +28,8 @@ from enum import Enum
 
 import numpy as np
 
+from .payment_design import LinearProgram
+
 _PIVOT_TOL = 1e-9  # tableau entries below this magnitude are treated as zero
 _COST_TOL = 1e-9  # reduced costs above -this are non-improving
 _FEAS_TOL = 1e-9  # phase-one objective above this means infeasible
@@ -38,42 +43,6 @@ class SolveStatus(Enum):
 
 class PivotLimitError(RuntimeError):
     """Pivot budget exhausted before the solver reached a conclusion."""
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    objective: np.ndarray
-    ge_matrix: np.ndarray
-    ge_rhs: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    lower_bounds: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.objective, dtype=float)
-        n = c.shape[0]
-        g = np.asarray(self.ge_matrix, dtype=float).reshape(-1, n)
-        h = np.asarray(self.ge_rhs, dtype=float).reshape(-1)
-        a = np.asarray(self.eq_matrix, dtype=float).reshape(-1, n)
-        b = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
-        lb = np.asarray(self.lower_bounds, dtype=float).reshape(-1)
-        if g.shape[0] != h.shape[0] or a.shape[0] != b.shape[0] or lb.shape[0] != n:
-            raise ValueError("inconsistent LP dimensions")
-        if np.any(np.isposinf(lb)) or np.any(np.isnan(lb)):
-            raise ValueError("lower bounds must be finite or -inf")
-        for name, arr in (("objective", c), ("ge", g), ("rhs", h), ("eq", a), ("eq rhs", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "ge_matrix", g)
-        object.__setattr__(self, "ge_rhs", h)
-        object.__setattr__(self, "eq_matrix", a)
-        object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "lower_bounds", lb)
-
-    @property
-    def num_vars(self) -> int:
-        return self.objective.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,7 +105,7 @@ def _iterate(
 
 def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
     """Solve the LP; statuses other than OPTIMAL carry no point."""
-    n = lp.num_vars
+    n = lp.objective.shape[0]
     free = ~np.isfinite(lp.lower_bounds)
     shift = np.where(free, 0.0, lp.lower_bounds)
 

@@ -109,8 +109,10 @@ class SweepConfig:
                 )
         if self.axis is Axis.INITIAL_EFFORT and self.x_min < 0.0:
             raise ValueError("initial-effort axis cannot go below zero")
-        if self.payment_kind == "table" and self.payment_values is None:
-            raise ValueError('payment_kind "table" requires payment_values')
+        if (self.payment_kind == "table") != (self.payment_values is not None):
+            raise ValueError('payment_values go with payment_kind "table" and only with it')
+        if self.axis is not Axis.INITIAL_EFFORT and self.payment_kind != "threshold":
+            raise ValueError(f"the {self.axis.value} axis needs payment_kind 'threshold'")
 
     def rho_values(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.rho_steps)
@@ -211,8 +213,6 @@ def write_csv(result: SweepResult, path: str) -> None:
 def config_to_json(config: SweepConfig) -> str:
     data = dataclasses.asdict(config)
     data["axis"] = config.axis.value
-    if data["payment_values"] is not None:
-        data["payment_values"] = list(data["payment_values"])
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
@@ -224,8 +224,6 @@ def config_from_json(text: str) -> SweepConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
-    if "payment_values" in data and data["payment_values"] is not None:
-        data["payment_values"] = tuple(data["payment_values"])
     return SweepConfig(**data)
 
 

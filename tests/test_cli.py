@@ -28,6 +28,16 @@ class TestBestResponse:
         assert code == 0
         assert out.strip() == "lambda=0.405465 beta=0"
 
+    @pytest.mark.parametrize(
+        "q,line",
+        [("-1e3", "lambda=6.214608 beta=0"), ("-1.5e-2", "lambda=0.000000 beta=any")],
+    )
+    def test_negative_advantage_in_exponent_notation(self, q, line, capsys):
+        # argparse reads only "-5" and "-.5" as negative numbers by default
+        code, out, _ = run(["best-response", "--kind", "well-informed", "--q", q], capsys)
+        assert code == 0
+        assert out.strip() == line
+
 
 class TestCheckPayment:
     def test_threshold(self, capsys):
@@ -68,6 +78,8 @@ class TestDesign:
             (["--n", "51", "--target", "0.75", "--monotone"], "3.000000"),
             (["--n", "201", "--target", "0.75", "--monotone"], "3.000000"),
             (["--n", "2001", "--target", "0.6"], "1.500000"),
+            (["--n", "11", "--target", "0.75", "--lower-bound", "-1e3"], "-996.999932"),
+            (["--n", "11", "--target", "0.75", "--lower-bound", "-1.5e-2"], "2.985068"),
         ],
     )
     def test_expected_cost(self, flags, cost, tmp_path, capsys):
@@ -78,6 +90,15 @@ class TestDesign:
     def test_unanchored_design_is_a_solver_failure(self, tmp_path, capsys):
         code, _, err = run(
             ["design", "--n", "11", "--target", "0.75", "--lower-bound=-inf",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "unbounded" in err
+
+    def test_negative_infinite_lower_bound_is_a_value(self, tmp_path, capsys):
+        code, _, err = run(
+            ["design", "--n", "11", "--target", "0.75", "--lower-bound", "-inf",
              "--out", str(tmp_path)],
             capsys,
         )
@@ -106,6 +127,23 @@ class TestDesign:
 
 
 class TestFindEq:
+    def test_designed_payment_file(self, tmp_path, capsys):
+        # a designed table read back from its CSV, by find-eq and check-payment
+        code, _, _ = run(
+            ["design", "--n", "11", "--target", "0.75", "--out", str(tmp_path)], capsys
+        )
+        assert code == 0
+        table_path = str(tmp_path / "payments-n11-x0.75.csv")
+        code, out, _ = run(["find-eq", "--payment-file", table_path, "--n", "11"], capsys)
+        assert code == 0
+        assert "effort=0.693147" in out
+        code, out, _ = run(
+            ["check-payment", "--payment-file", table_path, "--n", "11"], capsys
+        )
+        assert code == 0
+        assert "simple condition: satisfied" in out
+        assert "monotone non-decreasing: yes" in out
+
     def test_roots_reported(self, capsys):
         code, out, _ = run(["find-eq", "--threshold", "3", "--n", "100"], capsys)
         assert code == 0
@@ -284,6 +322,26 @@ class TestSweep:
         assert not (out_dir / "tiny.csv").exists()
         assert not (out_dir / "tiny.svg").exists()
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            {"payment_kind": "table", "payment_values": [1.0] * 15},
+            {"axis": "initial-effort", "payment_values": [1.0] * 15},
+        ],
+        ids=["table_on_reward_axis", "values_without_table"],
+    )
+    def test_unused_payment_settings_rejected(self, update, tmp_path, capsys):
+        config_path = self.tiny_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config.update(update)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert code == 1 and "usage error" in err
+        assert not (out_dir / "tiny.csv").exists()
+
     def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
         code, _, err = run(
@@ -333,11 +391,15 @@ class TestExitCodes:
         [
             ["best-response", "--kind", "well-informed", "--q", "nan"],
             ["best-response", "--kind", "misinformed", "--q", "inf"],
+            ["best-response", "--kind", "well-informed", "--q", "-inf"],
             ["best-response", "--kind", "well-informed", "--q", "3", "--rate", "inf"],
             ["design", "--n", "11", "--target", "0.75", "--rate", "inf"],
             ["find-eq", "--threshold", "3", "--n", "11", "--rate", "nan"],
         ],
-        ids=["q_nan", "q_inf", "br_rate_inf", "design_rate_inf", "find_eq_rate_nan"],
+        ids=[
+            "q_nan", "q_inf", "q_minus_inf", "br_rate_inf", "design_rate_inf",
+            "find_eq_rate_nan",
+        ],
     )
     def test_non_finite_effort_input(self, args, tmp_path, capsys):
         code, out, err = run([*args, "--out", str(tmp_path / "out")], capsys)

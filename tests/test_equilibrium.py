@@ -10,6 +10,7 @@ from jurymech.equilibrium import (
     AgentVerdict,
     BestResponse,
     EquilibriumReport,
+    _log_choose,
     _scan_values,
     best_response,
     best_response_to_pmf,
@@ -35,7 +36,7 @@ from jurymech.model import (
     vote_advantage,
     vote_probability,
 )
-from jurymech.payment_design import _log_choose, binomial_weights, design_payments
+from jurymech.payment_design import binomial_weights, design_payments
 
 WELL = EffortProfile(AgentKind.WELL_INFORMED)
 MIS = EffortProfile(AgentKind.MISINFORMED)
@@ -527,6 +528,21 @@ class TestSymmetricEquilibria:
     def test_rejects_misinformed(self):
         with pytest.raises(ValueError):
             find_symmetric_equilibria(MIS, ThresholdPayment(3.0), 10)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize(
+    "check",
+    [
+        satisfies_simple_condition,
+        is_monotone_nondecreasing,
+        lambda payment, n: find_symmetric_equilibria(WELL, payment, n),
+    ],
+    ids=["simple_condition", "monotone", "symmetric_search"],
+)
+def test_jury_of_fewer_than_two_rejected(check, n):
+    with pytest.raises(ValueError, match="at least 2"):
+        check(ThresholdPayment(3.0), n)
 
 
 def scalar_g(profile: EffortProfile, table: np.ndarray):

@@ -178,6 +178,8 @@ class TestPayments:
             table.value(8)  # the grid k/8 is not the table's
         with pytest.raises(ValueError):
             TabulatedPayment(3, (1.0, 2.0))
+        with pytest.raises(ValueError, match="jury_size"):
+            TabulatedPayment(0, ())
         for n in JURY_SIZES:
             assert_matches_reference(payment_cases(n)[-1], n)
 

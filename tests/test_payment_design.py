@@ -99,6 +99,14 @@ class TestBuildLp:
             build_lp(11, 1.0)
         with pytest.raises(ValueError):
             build_lp(11, 0.75, EffortProfile(AgentKind.MISINFORMED))
+        for design in (build_lp, design_payments):
+            with pytest.raises(ValueError, match="at least 2"):
+                design(1, 0.75)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_lower_bound_must_be_real_or_minus_inf(self, bound):
+        with pytest.raises(ValueError, match="lower_bound"):
+            DesignOptions(lower_bound=bound)
 
 
 class TestDesignPayments:
@@ -266,7 +274,7 @@ def test_unanchored_design():
     options = DesignOptions(lower_bound=-math.inf)
     with pytest.raises(DesignError) as err:
         design_payments(11, 0.75, options=options)
-    assert err.value.status is SolveStatus.UNBOUNDED
+    assert err.value.status == "unbounded"
 
     for x in (0.51, 0.75, 0.99):
         options = DesignOptions(lower_bound=-math.inf, individual_rationality=True)

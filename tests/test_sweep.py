@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,24 @@ class TestSweepConfig:
                 payment_values=(1.0,) * 5,
             )
 
+    @pytest.mark.parametrize(
+        "axis, kind, values",
+        [
+            (Axis.REWARD_THRESHOLD, "table", (1.0, 2.0)),
+            (Axis.INITIAL_EFFORT, "threshold", (1.0, 2.0)),
+            (Axis.INITIAL_EFFORT, "award-loss", (1.0, 2.0)),
+            (Axis.REWARD_THRESHOLD, "award-loss", None),
+            (Axis.REWARD_AWARD_LOSS, "award-loss", None),
+        ],
+    )
+    def test_unused_payment_settings_rejected(self, axis, kind, values):
+        # a reward axis builds its own payment, and only a table reads values
+        with pytest.raises(ValueError, match="payment"):
+            SweepConfig(
+                axis=axis, x_min=0.0, x_max=1.0, n=2, payment_kind=kind,
+                payment_values=values,
+            )
+
     def test_axis_accepts_value_strings(self):
         cfg = SweepConfig(axis="reward-award-loss", x_min=0.0, x_max=10.0)
         assert cfg.axis is Axis.REWARD_AWARD_LOSS
@@ -114,6 +133,8 @@ class TestSweepConfig:
         sim = effort.cell_simulation(0, 2)
         assert sim.payment == ThresholdPayment(4.0)
         assert sim.epsilon == 2.0
+        award_effort = dataclasses.replace(effort, payment_kind="award-loss")
+        assert award_effort.cell_simulation(0, 2).payment == AwardLossSharingPayment(4.0)
 
         table = SweepConfig(
             axis=Axis.INITIAL_EFFORT,
