@@ -8,9 +8,8 @@ Subcommands:
   simulate        one trajectory, one line per round: "round,t_count"
   sweep           correctness grid to CSV (and SVG heatmap)
 
-Common flags accepted by every subcommand: --seed, --config, --out,
---threads.  Exit codes: 0 success, 1 usage error, 2 runtime or solver
-failure.
+Each subcommand takes only the flags it reads.  Exit codes: 0 success,
+1 usage error, 2 runtime or solver failure.
 
 File formats: payment tables are CSV with header "k,p" listing p(k/n) for
 k = 1..n; sweep configs are JSON objects with SweepConfig's field names
@@ -90,13 +89,6 @@ def read_payment_table(path: str) -> TabulatedPayment:
 def trajectory_lines(trajectory: Trajectory) -> list[str]:
     """Debug dump schema: one line per round, 'round_index,t_count'."""
     return [f"{i},{state.t_count}" for i, state in enumerate(trajectory.states)]
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--config", default=None, help="JSON sweep config file")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
 
 
 def _finite(text: str) -> float:
@@ -188,11 +180,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         payment=_payment_from_args(args, args.n),
         epsilon=args.epsilon,
         rounds=args.rounds,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     trajectory = simulate(config)
     lines = trajectory_lines(trajectory)
-    if args.out != ".":
+    if args.out is not None:
         path = _out_dir(args) / "trajectory.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {path}")
@@ -204,8 +196,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if (args.preset is None) == (args.config is None):
-        raise UsageError("give exactly one of --preset or --config")
     if args.preset is not None:
         config = PRESETS[args.preset]
         name = args.preset
@@ -236,13 +226,11 @@ def build_parser() -> _Parser:
     sub.add_argument("--kind", choices=[k.value for k in AgentKind], required=True)
     sub.add_argument("--q", type=_finite, required=True, help="vote advantage")
     sub.add_argument("--rate", type=_finite, default=1.0)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_best_response)
 
     sub = subparsers.add_parser("check-payment", help="payment sanity checks")
     _add_payment_flags(sub)
     sub.add_argument("--n", type=int, required=True)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_check_payment)
 
     sub = subparsers.add_parser("design", help="cheapest payment design")
@@ -252,14 +240,13 @@ def build_parser() -> _Parser:
     sub.add_argument("--lower-bound", type=float, default=0.0)
     sub.add_argument("--monotone", action="store_true")
     sub.add_argument("--individual-rationality", action="store_true")
-    _add_common(sub)
+    sub.add_argument("--out", default=".", help="output directory")
     sub.set_defaults(handler=_cmd_design)
 
     sub = subparsers.add_parser("find-eq", help="symmetric equilibria")
     _add_payment_flags(sub)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--rate", type=_finite, default=1.0)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_find_eq)
 
     sub = subparsers.add_parser("simulate", help="single trajectory dump")
@@ -268,13 +255,18 @@ def build_parser() -> _Parser:
     sub.add_argument("--rho", type=float, required=True)
     sub.add_argument("--epsilon", type=float, required=True)
     sub.add_argument("--rounds", type=int, required=True)
-    _add_common(sub)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out", default=None, help="output directory (default: stdout)")
     sub.set_defaults(handler=_cmd_simulate)
 
     sub = subparsers.add_parser("sweep", help="correctness grid to CSV/SVG")
-    sub.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=sorted(PRESETS))
+    source.add_argument("--config", help="JSON sweep config file")
     sub.add_argument("--no-svg", action="store_true")
-    _add_common(sub)
+    sub.add_argument("--seed", type=int, default=None, help="master seed override")
+    sub.add_argument("--out", default=".", help="output directory")
+    sub.add_argument("--threads", type=int, default=1, help="worker processes")
     sub.set_defaults(handler=_cmd_sweep)
 
     return parser

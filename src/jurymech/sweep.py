@@ -191,8 +191,10 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     if threads == 1:
         values = [estimate(batch) for batch in batches]
     else:
-        chunk = max(1, len(batches) // (threads * 16))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a fork pool starts all its workers up front: no more than batches
+        workers = min(threads, len(batches))
+        chunk = max(1, len(batches) // (workers * 16))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(estimate, batches, chunksize=chunk))
     grid = np.concatenate(values).reshape(config.rho_steps, config.x_steps)
     return SweepResult(grid, config, time.perf_counter() - started)
@@ -224,7 +226,10 @@ def config_from_json(text: str) -> SweepConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
-    return SweepConfig(**data)
+    try:
+        return SweepConfig(**data)
+    except TypeError as err:  # a missing field or a value of the wrong JSON type
+        raise ValueError(str(err)) from err
 
 
 def _preset(axis: Axis, x_max: float, **kwargs) -> SweepConfig:

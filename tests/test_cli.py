@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,22 @@ class TestSimulate:
         dump = (tmp_path / "trajectory.txt").read_text(encoding="utf-8")
         assert len(dump.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("out", ["new/dir", "."])
+    def test_out_writes_the_stdout_dump(self, out, tmp_path, monkeypatch, capsys):
+        # "--out ." is a directory like any other, not a request for stdout
+        monkeypatch.chdir(tmp_path)
+        args = [
+            "simulate", "--threshold", "3", "--n", "10", "--rho", "0.5",
+            "--epsilon", "1", "--rounds", "3", "--seed", "1",
+        ]
+        code, stdout_dump, _ = run(args, capsys)
+        assert code == 0
+        code, out_text, _ = run([*args, "--out", out], capsys)
+        assert code == 0
+        path = tmp_path / out / "trajectory.txt"
+        assert out_text == f"wrote {Path(out) / 'trajectory.txt'}\n"
+        assert path.read_text(encoding="utf-8") == stdout_dump
+
     def test_payment_file_size_mismatch(self, tmp_path, capsys):
         table_path = tmp_path / "t.csv"
         write_payment_table(TabulatedPayment(3, (0.0, 1.0, 2.0)), str(table_path))
@@ -292,20 +309,35 @@ class TestSweep:
         assert not (out_dir / "tiny.svg").exists()
 
     @pytest.mark.parametrize(
-        "field, value", [("n", 1.5), ("samples", "2"), ("master_seed", -1)]
+        "field, value",
+        [
+            ("n", 1.5),
+            ("samples", "2"),
+            ("master_seed", -1),
+            ("x_max", "1"),
+            ("epsilon", None),
+            ("payment_values", 5),
+            ("payment_values", [None]),
+        ],
     )
     def test_ill_typed_config_value_rejected(self, field, value, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
         config = json.loads(config_path.read_text(encoding="utf-8"))
         config[field] = value
+        self.assert_config_rejected(config, config_path, capsys)
+
+    def test_empty_config_rejected(self, tmp_path, capsys):
+        self.assert_config_rejected({}, tmp_path / "tiny.json", capsys)
+
+    def assert_config_rejected(self, config, config_path, capsys):
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        out_dir = tmp_path / "out"
+        out_dir = config_path.parent / "out"
         code, _, err = run(
             ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
         )
         assert code == 1 and err.startswith("usage error:")
-        assert not (out_dir / "tiny.csv").exists()
-        assert not (out_dir / "tiny.svg").exists()
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_table_length_mismatch_rejected(self, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
@@ -358,6 +390,41 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in err
 
+    VALID = {
+        "best-response": ["--kind", "well-informed", "--q", "3"],
+        "check-payment": ["--threshold", "3", "--n", "11"],
+        "find-eq": ["--threshold", "3", "--n", "11"],
+        "design": ["--n", "11", "--target", "0.75", "--out", "out"],
+        "simulate": [
+            "--threshold", "3", "--n", "10", "--rho", "1.0", "--epsilon", "1",
+            "--rounds", "1",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command, flags in [
+                ("best-response", ["--seed", "--config", "--out", "--threads"]),
+                ("check-payment", ["--seed", "--config", "--out", "--threads"]),
+                ("find-eq", ["--seed", "--config", "--out", "--threads"]),
+                ("design", ["--seed", "--config", "--threads"]),
+                ("simulate", ["--config", "--threads"]),
+            ]
+            for flag in flags
+        ],
+    )
+    def test_flag_the_command_does_not_read(
+        self, command, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        value = {"--seed": "4", "--config": "nope.json", "--out": "out", "--threads": "8"}
+        code, out, err = run([command, *self.VALID[command], flag, value[flag]], capsys)
+        assert code == 1 and "usage error" in err and flag in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_missing_payment_flag(self, capsys):
         code, _, err = run(["check-payment", "--n", "10"], capsys)
         assert code == 1
@@ -387,22 +454,26 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "args",
+        "args, flag",
         [
-            ["best-response", "--kind", "well-informed", "--q", "nan"],
-            ["best-response", "--kind", "misinformed", "--q", "inf"],
-            ["best-response", "--kind", "well-informed", "--q", "-inf"],
-            ["best-response", "--kind", "well-informed", "--q", "3", "--rate", "inf"],
-            ["design", "--n", "11", "--target", "0.75", "--rate", "inf"],
-            ["find-eq", "--threshold", "3", "--n", "11", "--rate", "nan"],
+            (["best-response", "--kind", "well-informed", "--q", "nan"], "--q"),
+            (["best-response", "--kind", "misinformed", "--q", "inf"], "--q"),
+            (["best-response", "--kind", "well-informed", "--q", "-inf"], "--q"),
+            (["best-response", "--kind", "well-informed", "--q", "3", "--rate", "inf"],
+             "--rate"),
+            (["design", "--n", "11", "--target", "0.75", "--rate", "inf", "--out", "out"],
+             "--rate"),
+            (["find-eq", "--threshold", "3", "--n", "11", "--rate", "nan"], "--rate"),
         ],
         ids=[
             "q_nan", "q_inf", "q_minus_inf", "br_rate_inf", "design_rate_inf",
             "find_eq_rate_nan",
         ],
     )
-    def test_non_finite_effort_input(self, args, tmp_path, capsys):
-        code, out, err = run([*args, "--out", str(tmp_path / "out")], capsys)
+    def test_non_finite_effort_input(self, args, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(args, capsys)
         assert code == 1 and "usage error" in err
+        assert f"argument {flag}:" in err
         assert out == ""
         assert not (tmp_path / "out").exists()

@@ -195,6 +195,33 @@ class TestRunSweep:
         ]
         assert serial.grid.tobytes() == np.array(cells).tobytes()
 
+    @pytest.mark.parametrize("rho_steps, batches", [(2, 1), (6, 3)])
+    def test_pool_has_no_more_workers_than_batches(self, rho_steps, batches, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        grid = dataclasses.replace(TINY, x_steps=2, rho_steps=rho_steps, n=100, samples=20)
+        assert math.ceil(2 * rho_steps / batch_cells(grid.n, grid.samples)) == batches
+        serial = run_sweep(grid, threads=1)
+        monkeypatch.setattr("jurymech.sweep.ProcessPoolExecutor", SerialPool)
+        assert sizes == []
+        pooled = run_sweep(grid, threads=64)
+        assert sizes == [batches]
+        assert pooled.grid.tobytes() == serial.grid.tobytes()
+
     def test_thread_validation(self):
         with pytest.raises(ValueError):
             run_sweep(TINY, threads=0)
