@@ -30,6 +30,16 @@ stream is unchanged, derive_seed stays the oracle it is tested against, and
 any sample can be replayed alone with simulate().  The buffer is capped at
 _DRAW_BUFFER doubles; past the cap it is refilled in blocks of rounds, with
 every generator kept alive between blocks.
+
+A config is count-independent when neither kind's response depends on the
+feedback count, as when the payment gap never clears a juror's activation
+threshold and everyone votes by fair coin.  Then no round before the last
+can change the final votes, so a Monte Carlo row of such a config does not
+step: its generator jumps over the n * rounds draws of the earlier rounds
+(PCG64's advance) and draws the last round's n uniforms, the very values a
+stepped run compares with the same table.  Each stream therefore ends in
+the same state with the same votes, bit for bit.  simulate() records every
+round, so it always steps.
 """
 
 from __future__ import annotations
@@ -165,6 +175,10 @@ def _run_batch(
     and each generator lives across blocks, so neither the block size nor
     the other rows of the batch ever change a stream.  When ``record`` is
     given, row 0's per-kind counts of every round are appended to it.
+
+    Without ``record``, the rows of a count-independent config (each row
+    of its response table holds one value across all feedback counts) skip
+    to the last round, as the module docstring describes.
     """
     n, rounds = configs[0].n, configs[0].rounds
     if any(c.n != n or c.rounds != rounds for c in configs):
@@ -182,14 +196,29 @@ def _run_batch(
     tables = np.concatenate([built[c.payment] for c in configs]).ravel()
     # flat index of feedback count 0 in the juror's table row
     table_start = table_row * n
+    final = np.empty((len(rngs), n), dtype=bool)
+    skip = np.zeros(len(rngs), dtype=bool)
+    if record is None:
+        flat = {p: bool((t == t[:, :1]).all()) for p, t in built.items()}
+        skip = np.array([flat[c.payment] for c in configs])[cell]
+    last = np.empty((np.count_nonzero(skip), n))
+    for k, row in zip(np.flatnonzero(skip), last):
+        rngs[k].bit_generator.advance(n * rounds)
+        rngs[k].random(out=row)
+    final[skip] = last < tables[table_start[skip]]
+    live = np.flatnonzero(~skip)
+    if live.size == 0:
+        return final
+    live_rngs = [rngs[k] for k in live]
+    zero_probs, table_start = zero_probs[live], table_start[live]
     total = rounds + 1
-    block = max(1, _DRAW_BUFFER // (len(rngs) * n))
-    draws = np.empty((len(rngs), min(block, total), n))
+    block = max(1, _DRAW_BUFFER // (len(live) * n))
+    draws = np.empty((len(live), min(block, total), n))
     for r in range(total):
         offset = r % block
         if offset == 0:
             count = min(block, total - r)
-            for rng, rows in zip(rngs, draws):
+            for rng, rows in zip(live_rngs, draws):
                 rng.random(out=rows[:count])
         uniforms = draws[:, offset]
         if r == 0:
@@ -207,7 +236,8 @@ def _run_batch(
                     int(np.count_nonzero(votes[0, informed[0] :])),
                 )
             )
-    return votes
+    final[live] = votes
+    return final
 
 
 def simulate(config: SimulationConfig) -> Trajectory:

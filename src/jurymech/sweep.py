@@ -188,11 +188,12 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     size = batch_cells(config.n, config.samples)
     batches = [cells[i : i + size] for i in range(0, len(cells), size)]
     estimate = partial(correctness_estimates, samples=config.samples)
-    if threads == 1:
+    # a fork pool starts all its workers up front: no more than batches,
+    # and none when one process would run them all
+    workers = min(threads, len(batches))
+    if workers == 1:
         values = [estimate(batch) for batch in batches]
     else:
-        # a fork pool starts all its workers up front: no more than batches
-        workers = min(threads, len(batches))
         chunk = max(1, len(batches) // (workers * 16))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(estimate, batches, chunksize=chunk))

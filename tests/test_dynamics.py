@@ -124,6 +124,13 @@ class TestSimulate:
             assert 0 <= state.misinformed <= cfg.n - informed
             assert state.t_count == state.informed + state.misinformed
 
+    def test_count_independent_run_records_every_round(self):
+        cfg = config(n=30, payment=ThresholdPayment(0.0), rounds=7, seed=5)
+        assert np.all(_response_tables(cfg.payment, cfg.n) == 0.5)
+        trajectory = simulate(cfg)
+        assert len(trajectory.states) == cfg.rounds + 1
+        assert trajectory.final_correct == (trajectory.states[-1].t_count > cfg.n / 2)
+
     def test_single_agent_jury(self):
         cfg = config(n=1, rho=1.0, payment=ThresholdPayment(5.0), rounds=3, seed=9)
         trajectory = simulate(cfg)
@@ -210,6 +217,10 @@ class TestCorrectnessEstimate:
                 dict(n=11, rho=0.37, payment=KlerosPayment(1.0, 2.0), rounds=10),
                 8,
                 id="n11_kleros",
+            ),
+            # a table that ignores the count: the batch skips to the last round
+            pytest.param(
+                dict(n=30, payment=ThresholdPayment(0.0), rounds=10), 8, id="n30_zero_reward"
             ),
             # 1000 x 141 draws per sample exceed the 2**17-double draw buffer,
             # so both the batch and each one-sample replay refill it in blocks
@@ -308,11 +319,21 @@ class TestDeriveSeed:
             reference = np.random.default_rng(seed)
             assert np.array_equal(rng.random(16), reference.random(16))
 
+    @pytest.mark.parametrize("skipped", [0, 1, 999, _DRAW_BUFFER + 7])
+    def test_advance_skips_uniform_draws(self, skipped):
+        # a count-independent batch row advances past its early rounds
+        seeds = np.array([3, 2**40 + 5], dtype=np.uint64)
+        for rng, reference in zip(sample_generators(seeds, 2), sample_generators(seeds, 2)):
+            rng.bit_generator.advance(skipped)
+            assert np.array_equal(rng.random(50), reference.random(skipped + 50)[skipped:])
+            assert rng.bit_generator.state == reference.bit_generator.state
+
 
 def mixed_batch(n: int, rounds: int) -> list[SimulationConfig]:
     """Configs that differ in everything a batch row reads from its cell:
     population split, payment family and round-0 effort; seeds of one and
-    of two 32-bit words."""
+    of two 32-bit words.  The last one's reward never activates a juror, so
+    its table ignores the vote count."""
     table = tuple(float(v) for v in np.linspace(-1.0, 4.0, n))
     cells = [
         (0.0, ThresholdPayment(3.0), 1.0, 5),
@@ -320,6 +341,7 @@ def mixed_batch(n: int, rounds: int) -> list[SimulationConfig]:
         (1.0, TabulatedPayment(n, table), 2.0, 2**64 - 1),
         (0.37, ThresholdPayment(4.0), 0.0, 0),
         (1.0, AwardLossSharingPayment(50.0), 1.5, 2**32),
+        (0.6, ThresholdPayment(1.5), 0.5, 11),
     ]
     return [
         SimulationConfig(n=n, rho=rho, payment=pay, epsilon=eps, rounds=rounds, seed=seed)
@@ -331,8 +353,10 @@ class TestBatch:
     def test_mixed_batch_matches_cells_and_replays(self):
         n, rounds, samples = 60, 300, 4
         configs = mixed_batch(n, rounds)
-        # 20 rows of 60 draws per round: the buffer is filled in 3 blocks
-        assert len(configs) * samples * n * (rounds + 1) > 2 * _DRAW_BUFFER
+        # 20 stepped rows of 60 draws per round: the buffer is filled in 3
+        # blocks; the 4 rows of the count-independent config skip ahead
+        assert np.all(_response_tables(configs[-1].payment, n) == 0.5)
+        assert (len(configs) - 1) * samples * n * (rounds + 1) > 2 * _DRAW_BUFFER
         estimates = correctness_estimates(configs, samples)
         singles = [correctness_estimate(cfg, samples) for cfg in configs]
         assert estimates.tolist() == singles
@@ -353,6 +377,31 @@ class TestBatch:
         assert [(s.informed, s.misinformed) for s in finals] == [
             (int(row[:i].sum()), int(row[i:].sum())) for row, i in zip(votes, informed)
         ]
+
+    def test_count_independent_rows_keep_their_streams(self):
+        n, rounds, samples = 40, 30, 3
+        cells = [(0.0, 0.0, 1), (0.5, 1.5, 2**40 + 9), (1.0, 2.0, 2**32 - 1)]
+        configs = [
+            config(n=n, rounds=rounds, rho=r, payment=ThresholdPayment(w), seed=s)
+            for r, w, s in cells
+        ]
+        seeds = np.array([cfg.seed for cfg in configs], dtype=np.uint64)
+        rngs = sample_generators(seeds, samples)
+        votes = _run_batch(configs, rngs)
+        for c, cfg in enumerate(configs):
+            informed = assign_population(n, cfg.rho)
+            for k in range(samples):
+                row, rng = votes[c * samples + k], rngs[c * samples + k]
+                # each row ends where a stepped run would: n draws per round
+                reference = np.random.default_rng(derive_seed(cfg.seed, k))
+                reference.random(n * (rounds + 1))
+                assert rng.bit_generator.state == reference.bit_generator.state
+                replay = simulate(dataclasses.replace(cfg, seed=derive_seed(cfg.seed, k)))
+                last = replay.states[-1]
+                assert (last.informed, last.misinformed) == (
+                    int(row[:informed].sum()),
+                    int(row[informed:].sum()),
+                )
 
     def test_shared_payment_builds_one_table(self, monkeypatch):
         builds = []

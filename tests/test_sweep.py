@@ -219,7 +219,8 @@ class TestRunSweep:
         monkeypatch.setattr("jurymech.sweep.ProcessPoolExecutor", SerialPool)
         assert sizes == []
         pooled = run_sweep(grid, threads=64)
-        assert sizes == [batches]
+        # one batch runs inline, with no pool at all
+        assert sizes == ([] if batches == 1 else [batches])
         assert pooled.grid.tobytes() == serial.grid.tobytes()
 
     def test_thread_validation(self):
