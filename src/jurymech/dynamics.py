@@ -6,10 +6,11 @@ for the ground truth last round, best-responds to the payment gap implied
 by that count, and votes accordingly.  Updates are synchronous: all jurors
 react to the same previous round.
 
-Jurors come in two kinds, well-informed and misinformed, and jurors of one
-kind are interchangeable.  So the response tables have one row per kind,
-and a round is recorded as its ground-truth votes per kind (RoundState),
-the state of the lumped Markov chain of the dynamics.
+Jurors come in two kinds, well-informed and misinformed, and a round is
+recorded as its ground-truth votes per kind (RoundState).  After round 0
+both kinds answer a vote count with one probability (the misinformed curve
+is the well-informed one reflected about 1/2), so a response table is one
+row, and the vote count alone is the state of the lumped Markov chain.
 
 All randomness flows through numpy's PCG64 generator.  Seeds for samples
 are derived by feeding (seed, sample index) through SeedSequence's entropy
@@ -21,7 +22,7 @@ more configs that share n and rounds, one row per (config, sample) pair.
 Each row's generator fills its row of a shared buffer of uniforms with
 exactly the values a lone run would draw, in the same order, and then all
 rows step together one round at a time, each reading its own config's
-response table and round-0 probabilities.  A table depends only on the
+response row and round-0 probabilities.  A row depends only on the
 payment, so a batch builds one per distinct payment.  The seeds of a whole
 batch are derived as one array: jurymech._seeding redoes SeedSequence's
 mixing in uint32 array arithmetic, for derive_seed(seed, k) and then for
@@ -31,15 +32,16 @@ any sample can be replayed alone with simulate().  The buffer is capped at
 _DRAW_BUFFER doubles; past the cap it is refilled in blocks of rounds, with
 every generator kept alive between blocks.
 
-A config is count-independent when neither kind's response depends on the
-feedback count, as when the payment gap never clears a juror's activation
-threshold and everyone votes by fair coin.  Then no round before the last
-can change the final votes, so a Monte Carlo row of such a config does not
-step: its generator jumps over the n * rounds draws of the earlier rounds
-(PCG64's advance) and draws the last round's n uniforms, the very values a
-stepped run compares with the same table.  Each stream therefore ends in
-the same state with the same votes, bit for bit.  simulate() records every
-round, so it always steps.
+A config is count-independent exactly when no juror ever puts in effort,
+so that its response row is 0.5 throughout: no other row is constant, as a
+vote-advantage vector is antisymmetric (entry m is minus entry n-1-m) and
+an active juror votes for the ground truth with probability 1 - h at a but
+h < 1/2 at -a.  Then no round before the last can change the final votes,
+so a Monte Carlo row of such a config does not step: its generator jumps
+over the n * rounds draws of the earlier rounds (PCG64's advance) and
+draws the last round's n uniforms, the very values a stepped run compares
+with 0.5.  Each stream thus ends in the same state with the same votes,
+bit for bit.  simulate() records every round, so it always steps.
 """
 
 from __future__ import annotations
@@ -124,8 +126,7 @@ class Trajectory:
     final_correct: bool
 
 
-# Row 0 of a response table is a unit-rate well-informed juror, row 1 a
-# unit-rate misinformed one.
+# Unit-rate curves of the two kinds, for the round-0 probabilities.
 _KINDS = (EffortProfile(AgentKind.WELL_INFORMED), EffortProfile(AgentKind.MISINFORMED))
 
 
@@ -138,25 +139,24 @@ def assign_population(n: int, rho: float) -> int:
     return round(rho * n)
 
 
-def _response_tables(payment: PaymentFunction, n: int) -> np.ndarray:
-    """Ground-truth-vote probability of each kind (rows, see _KINDS) for
-    every possible feedback count (columns), as a (2, n) array.
+def _response_row(payment: PaymentFunction, n: int) -> np.ndarray:
+    """Ground-truth-vote probability of a juror of either kind for every
+    possible feedback count, as a length-n array.
 
     A juror whose best response is zero effort votes by fair coin; otherwise
     she votes with the signal quality of her optimal effort, flipped when
-    her optimal fidelity is zero.  Best responses are computed once per
+    her optimal fidelity is zero.  It is taken on the misinformed curve,
+    whose h = exp(-e)/2 at a negative advantage is exact where the
+    well-informed 1 - (1 - h) rounds.  Best responses are computed once per
     distinct vote advantage, since a payment table takes only a few values.
     """
     advantages, column = np.unique(vote_advantage(payment, n), return_inverse=True)
-    rows = np.empty((len(_KINDS), len(advantages)))
-    for g, curve in enumerate(_KINDS):
-        for j, adv in enumerate(advantages.tolist()):
-            br = best_response(curve, adv)
-            if br.fidelity is None:
-                rows[g, j] = 0.5
-            else:
-                rows[g, j] = vote_probability(curve, Strategy(br.effort, br.fidelity))
-    return rows[:, column]
+    row = np.full(len(advantages), 0.5)
+    for j, adv in enumerate(advantages.tolist()):
+        br = best_response(_KINDS[1], adv)
+        if br.fidelity is not None:
+            row[j] = vote_probability(_KINDS[1], Strategy(br.effort, br.fidelity))
+    return row[column]
 
 
 def _run_batch(
@@ -176,41 +176,38 @@ def _run_batch(
     the other rows of the batch ever change a stream.  When ``record`` is
     given, row 0's per-kind counts of every round are appended to it.
 
-    Without ``record``, the rows of a count-independent config (each row
-    of its response table holds one value across all feedback counts) skip
-    to the last round, as the module docstring describes.
+    Without ``record``, the rows of a count-independent config (its
+    response row is 0.5 at every feedback count) skip to the last round,
+    as the module docstring describes.
     """
     n, rounds = configs[0].n, configs[0].rounds
     if any(c.n != n or c.rounds != rounds for c in configs):
         raise ValueError("the configs of one batch must share n and rounds")
     cell = np.repeat(np.arange(len(configs)), len(rngs) // len(configs))
     informed = np.array([assign_population(n, c.rho) for c in configs])
-    # Row of each juror in the stacked (cells * 2, n) tables: her cell's
-    # well-informed row, or the misinformed one after it.
-    table_row = 2 * cell[:, None] + (np.arange(n) >= informed[cell, None])
-    zero_probs = np.array(
-        [[curve.value(c.epsilon) for curve in _KINDS] for c in configs]
-    ).ravel()[table_row]
-    # one build per distinct payment: the table depends on nothing else
-    built = {p: _response_tables(p, n) for p in {c.payment for c in configs}}
-    tables = np.concatenate([built[c.payment] for c in configs]).ravel()
-    # flat index of feedback count 0 in the juror's table row
-    table_start = table_row * n
+    # round 0: each batch row's (well-informed, misinformed) probabilities;
+    # the first round(rho * n) jurors of a cell are the well-informed ones
+    p0 = np.array([[k.value(c.epsilon) for k in _KINDS] for c in configs])[cell]
+    zero_probs = np.where(np.arange(n) < informed[cell, None], p0[:, :1], p0[:, 1:])
+    # one build per distinct payment: the row depends on nothing else
+    built = {p: _response_row(p, n) for p in {c.payment for c in configs}}
+    responses = np.concatenate([built[c.payment] for c in configs])
     final = np.empty((len(rngs), n), dtype=bool)
     skip = np.zeros(len(rngs), dtype=bool)
     if record is None:
-        flat = {p: bool((t == t[:, :1]).all()) for p, t in built.items()}
+        flat = {p: bool((row == 0.5).all()) for p, row in built.items()}
         skip = np.array([flat[c.payment] for c in configs])[cell]
     last = np.empty((np.count_nonzero(skip), n))
     for k, row in zip(np.flatnonzero(skip), last):
         rngs[k].bit_generator.advance(n * rounds)
         rngs[k].random(out=row)
-    final[skip] = last < tables[table_start[skip]]
+    final[skip] = last < 0.5
     live = np.flatnonzero(~skip)
     if live.size == 0:
         return final
     live_rngs = [rngs[k] for k in live]
-    zero_probs, table_start = zero_probs[live], table_start[live]
+    # flat index of feedback count 0 in each live batch row's response row
+    zero_probs, row_start = zero_probs[live], cell[live, None] * n
     total = rounds + 1
     block = max(1, _DRAW_BUFFER // (len(live) * n))
     draws = np.empty((len(live), min(block, total), n))
@@ -226,9 +223,8 @@ def _run_batch(
         else:
             # synchronous round: each juror responds to the others' last
             # votes, her row's count minus her own vote
-            index = table_start - votes
-            index += votes.sum(axis=1, keepdims=True)
-            votes = uniforms < tables[index]
+            index = row_start + votes.sum(axis=1, keepdims=True)
+            votes = uniforms < responses[index - votes]
         if record is not None:
             record.append(
                 RoundState(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from jurymech.dynamics import (
     derive_seed,
     simulate,
     _DRAW_BUFFER,
-    _response_tables,
+    _response_row,
     _run_batch,
 )
 from jurymech._seeding import PresetState, derive_seeds, sample_generators, seed_states
@@ -23,13 +24,28 @@ from jurymech.model import (
     AwardLossSharingPayment,
     EffortProfile,
     KlerosPayment,
+    Strategy,
     TabulatedPayment,
     ThresholdPayment,
     vote_advantage,
+    vote_probability,
 )
 
 WELL = EffortProfile(AgentKind.WELL_INFORMED)
 MIS = EffortProfile(AgentKind.MISINFORMED)
+
+
+def kind_row(curve: EffortProfile, payment, n: int) -> np.ndarray:
+    """Ground-truth-vote probability of a best-responding juror on this
+    curve, worked out on its own for every feedback count."""
+    probs = []
+    for adv in vote_advantage(payment, n).tolist():
+        br = best_response(curve, adv)
+        if br.fidelity is None:
+            probs.append(0.5)
+        else:
+            probs.append(vote_probability(curve, Strategy(br.effort, br.fidelity)))
+    return np.array(probs)
 
 
 def config(**kwargs) -> SimulationConfig:
@@ -81,24 +97,59 @@ class TestRoundZero:
             round_zero(1, 1.0, -1.0, 0)
 
 
+def seeded_table(n: int) -> TabulatedPayment:
+    """A nondecreasing payment table with entries spread over [-10, 10]."""
+    values = np.sort(np.random.default_rng(n).uniform(-10.0, 10.0, n))
+    return TabulatedPayment(n, tuple(values.tolist()))
+
+
+ROW_PAYMENTS = {
+    **{
+        f"threshold-{w:g}": (lambda n, w=w: ThresholdPayment(w))
+        for w in np.linspace(0.0, 5.0, 11).tolist()
+    },
+    **{
+        f"award-loss-{a:g}": (lambda n, a=a: AwardLossSharingPayment(a))
+        for a in (0.0, 300.0, 2500.0)
+    },
+    "kleros-1-2": lambda n: KlerosPayment(1.0, 2.0),
+    "table": seeded_table,
+}
+
+
 class TestResponseTables:
     def test_threshold_activation_row(self):
-        tables = _response_tables(ThresholdPayment(3.0), 100)
-        assert tables.shape == (2, 100)
-        # feedback far above the middle band: advantage 3, effort ln(3/2);
-        # the well-informed juror casts her signal (quality 2/3), the
-        # misinformed one inverts hers (quality 1/3), so both land on 2/3
-        assert tables[0, 89] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert tables[1, 89] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        # middle band: advantage 0, coin flip
-        assert tables[0, 50] == 0.5 and tables[0, 49] == 0.5
-        # far below: advantage -3, everyone leans toward the paying side
-        assert tables[0, 10] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert tables[1, 10] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        payment = ThresholdPayment(3.0)
+        row = _response_row(payment, 100)
+        assert row.shape == (100,)
+        for probs in (row, kind_row(WELL, payment, 100), kind_row(MIS, payment, 100)):
+            # feedback far above the middle band: advantage 3, effort ln(3/2);
+            # the well-informed juror casts her signal (quality 2/3), the
+            # misinformed one inverts hers (quality 1/3), so both land on 2/3
+            assert probs[89] == pytest.approx(2.0 / 3.0, abs=1e-12)
+            # middle band: advantage 0, coin flip
+            assert probs[50] == 0.5 and probs[49] == 0.5
+            # far below: advantage -3, everyone leans toward the paying side
+            assert probs[10] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_small_reward_never_activates(self):
-        tables = _response_tables(ThresholdPayment(1.0), 100)
-        assert np.all(tables == 0.5)
+        payment = ThresholdPayment(1.0)
+        assert np.all(_response_row(payment, 100) == 0.5)
+        assert np.all(kind_row(WELL, payment, 100) == 0.5)
+        assert np.all(kind_row(MIS, payment, 100) == 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 100])
+    @pytest.mark.parametrize("make", ROW_PAYMENTS.values(), ids=ROW_PAYMENTS.keys())
+    def test_both_kinds_land_on_the_row(self, make, n):
+        # at a < -2 the well-informed juror's 1 - (1 - h) may round off h
+        payment = make(n)
+        row = _response_row(payment, n)
+        assert row.shape == (n,)
+        near = vote_advantage(payment, n) >= -2.0
+        for curve in (WELL, MIS):
+            probs = kind_row(curve, payment, n)
+            assert np.array_equal(row[near], probs[near])
+            assert np.all(np.abs(row[~near] - probs[~near]) <= 2**-53)
 
     def test_threshold_efforts_are_two_valued(self):
         for omega in (3.0, 5.0):
@@ -126,7 +177,7 @@ class TestSimulate:
 
     def test_count_independent_run_records_every_round(self):
         cfg = config(n=30, payment=ThresholdPayment(0.0), rounds=7, seed=5)
-        assert np.all(_response_tables(cfg.payment, cfg.n) == 0.5)
+        assert np.all(_response_row(cfg.payment, cfg.n) == 0.5)
         trajectory = simulate(cfg)
         assert len(trajectory.states) == cfg.rounds + 1
         assert trajectory.final_correct == (trajectory.states[-1].t_count > cfg.n / 2)
@@ -187,7 +238,7 @@ def reference_runs(cfg: SimulationConfig, samples: int) -> list[list[tuple[int, 
     every sample."""
     informed = assign_population(cfg.n, cfg.rho)
     population = [WELL] * informed + [MIS] * (cfg.n - informed)
-    tables = _response_tables(cfg.payment, cfg.n)
+    tables = np.array([kind_row(curve, cfg.payment, cfg.n) for curve in (WELL, MIS)])
     group = np.array([0 if curve == WELL else 1 for curve in population], dtype=np.intp)
     zero_probs = np.array([curve.value(cfg.epsilon) for curve in population])
     runs = []
@@ -274,6 +325,67 @@ class TestCorrectnessEstimate:
             correctness_estimate(config(n=5, rounds=2), samples)
 
 
+def binomial_pmf(trials: int, p: float) -> np.ndarray:
+    """PMF of Bin(trials, p) over 0..trials, from math.comb."""
+    return np.array(
+        [math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k) for k in range(trials + 1)]
+    )
+
+
+def exact_correctness(cfg: SimulationConfig) -> float:
+    """Probability that cfg's final strict majority is correct, from the law
+    of the ground-truth vote count T.  Round 0: T is Bin(n_w, f_w(eps)) plus
+    Bin(n_m, f_m(eps)).  Each later round, the T jurors who voted for the
+    ground truth see T - 1 such votes among the others and the other n - T
+    see T, so the next T is Bin(T, p[T-1]) plus Bin(n - T, p[T]), with p the
+    response of either kind."""
+    n = cfg.n
+    informed = assign_population(n, cfg.rho)
+    law = np.convolve(
+        binomial_pmf(informed, WELL.value(cfg.epsilon)),
+        binomial_pmf(n - informed, MIS.value(cfg.epsilon)),
+    )
+    p = kind_row(WELL, cfg.payment, n)
+    kernel = np.array(
+        [
+            np.convolve(
+                binomial_pmf(t, p[t - 1] if t > 0 else 0.0),
+                binomial_pmf(n - t, p[t] if t < n else 0.0),
+            )
+            for t in range(n + 1)
+        ]
+    )
+    for _ in range(cfg.rounds):
+        law = law @ kernel
+    return math.fsum(law[n // 2 + 1 :])
+
+
+class TestExactChain:
+    def test_zero_reward_cell_is_a_fair_binomial(self):
+        # every juror flips a coin after round 0: P(Bin(100, 1/2) > 50)
+        exact = exact_correctness(config(rho=0.7, payment=ThresholdPayment(0.0)))
+        assert abs(exact - 0.46020538130641) <= 1e-12
+
+    def test_monte_carlo_within_four_standard_errors(self):
+        samples = 400
+        payments = [
+            ThresholdPayment(0.0),
+            ThresholdPayment(3.0),
+            AwardLossSharingPayment(800.0),
+            KlerosPayment(1.0, 2.0),
+        ]
+        cells = itertools.product(payments, (0.3, 0.55, 0.7))
+        configs = [
+            config(rho=rho, payment=payment, seed=c)
+            for c, (payment, rho) in enumerate(cells)
+        ]
+        estimates = correctness_estimates(configs, samples)
+        for cfg, estimate in zip(configs, estimates.tolist()):
+            e = exact_correctness(cfg)
+            bound = 4.0 * math.sqrt(max(e * (1.0 - e), 1.0 / samples) / samples)
+            assert abs(estimate - e) <= bound, (cfg, estimate, e)
+
+
 class TestDeriveSeed:
     def test_deterministic_and_spread(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -333,7 +445,7 @@ def mixed_batch(n: int, rounds: int) -> list[SimulationConfig]:
     """Configs that differ in everything a batch row reads from its cell:
     population split, payment family and round-0 effort; seeds of one and
     of two 32-bit words.  The last one's reward never activates a juror, so
-    its table ignores the vote count."""
+    its response row ignores the vote count."""
     table = tuple(float(v) for v in np.linspace(-1.0, 4.0, n))
     cells = [
         (0.0, ThresholdPayment(3.0), 1.0, 5),
@@ -355,7 +467,7 @@ class TestBatch:
         configs = mixed_batch(n, rounds)
         # 20 stepped rows of 60 draws per round: the buffer is filled in 3
         # blocks; the 4 rows of the count-independent config skip ahead
-        assert np.all(_response_tables(configs[-1].payment, n) == 0.5)
+        assert np.all(_response_row(configs[-1].payment, n) == 0.5)
         assert (len(configs) - 1) * samples * n * (rounds + 1) > 2 * _DRAW_BUFFER
         estimates = correctness_estimates(configs, samples)
         singles = [correctness_estimate(cfg, samples) for cfg in configs]
@@ -408,9 +520,9 @@ class TestBatch:
 
         def counting(payment, n):
             builds.append(payment)
-            return _response_tables(payment, n)
+            return _response_row(payment, n)
 
-        monkeypatch.setattr(dynamics, "_response_tables", counting)
+        monkeypatch.setattr(dynamics, "_response_row", counting)
         # equal payments built apart count as one
         cells = [(0.0, 1.0, 3), (0.3, 0.5, 2**40), (0.6, 2.0, 7), (1.0, 0.0, 0), (0.9, 1.5, 2**63)]
         configs = [
