@@ -3,10 +3,13 @@
 ``default_rng(derive_seed(seed, k))`` runs numpy's SeedSequence twice:
 once to mix the entropy [seed, k] into a derived 64-bit seed, and once to
 turn that seed into PCG64's four state words.  This module redoes both
-mixings in uint32 array arithmetic for a whole batch of (seed, k) pairs,
-then hands each state to PCG64 through PresetState, so every generator is
-exactly the one default_rng would build.  It is imported only when samples
-are drawn, since importing numpy.random costs about 25 ms.
+mixings in uint32 array arithmetic for a whole array of (seed, k) pairs
+(sample_states), then hands each state to PCG64 through PresetState
+(preset_generators), so every generator is exactly the one default_rng
+would build.  The two steps are apart so that a caller can derive the
+states of many batches at once and build each batch's generators only
+when it runs.  The module is imported only when samples are drawn, since
+importing numpy.random costs about 25 ms.
 """
 
 from __future__ import annotations
@@ -106,10 +109,21 @@ class PresetState(bit_generator.ISeedSequence):
         return self.words
 
 
-def sample_generators(seeds: np.ndarray, samples: int) -> list[np.random.Generator]:
-    """default_rng(derive_seed(seed, k)) for every uint64 seed and every
-    k < samples, seed-major."""
-    states = seed_states(derive_seeds(seeds, samples).ravel())
+def sample_states(seeds: np.ndarray, samples: int) -> np.ndarray:
+    """The PCG64 state of default_rng(derive_seed(seed, k)) for every uint64
+    seed and every k < samples, seed-major, as a C-contiguous
+    (len(seeds) * samples, 4) array."""
+    return seed_states(derive_seeds(seeds, samples).ravel())
+
+
+def preset_generators(states: np.ndarray) -> list[np.random.Generator]:
+    """One PCG64 generator per row of a C-contiguous (m, 4) state array."""
     # PCG64 reads the state's buffer as it is, so each row handed to it must
     # be a contiguous length-4 array; rows of a C-contiguous array are.
     return [np.random.Generator(np.random.PCG64(PresetState(row))) for row in states]
+
+
+def sample_generators(seeds: np.ndarray, samples: int) -> list[np.random.Generator]:
+    """default_rng(derive_seed(seed, k)) for every uint64 seed and every
+    k < samples, seed-major."""
+    return preset_generators(sample_states(seeds, samples))

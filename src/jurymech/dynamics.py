@@ -22,15 +22,19 @@ more configs that share n and rounds, one row per (config, sample) pair.
 Each row's generator fills its row of a shared buffer of uniforms with
 exactly the values a lone run would draw, in the same order, and then all
 rows step together one round at a time, each reading its own config's
-response row and round-0 probabilities.  A row depends only on the
-payment, so a batch builds one per distinct payment.  The seeds of a whole
-batch are derived as one array: jurymech._seeding redoes SeedSequence's
-mixing in uint32 array arithmetic, for derive_seed(seed, k) and then for
-the state that default_rng would give PCG64 from that seed.  So every
-stream is unchanged, derive_seed stays the oracle it is tested against, and
-any sample can be replayed alone with simulate().  The buffer is capped at
-_DRAW_BUFFER doubles; past the cap it is refilled in blocks of rounds, with
-every generator kept alive between blocks.
+response row and round-0 probabilities.  A response row depends only on
+the payment, so correctness_estimates builds one per distinct payment for
+all the configs it is given, and cuts them into batches of batch_cells
+configs itself.  Seeds are derived as one array per group of whole
+batches, of at most _DRAW_BUFFER // 4 samples (1 MiB of state words) but
+never less than one batch: jurymech._seeding redoes SeedSequence's mixing
+in uint32 array arithmetic, for derive_seed(seed, k) and then for the
+state that default_rng would give PCG64 from that seed.  A batch's
+generators are built from those states just before it runs.  So every
+stream is unchanged, derive_seed stays the oracle it is tested against,
+and any sample can be replayed alone with simulate().  The buffer of
+uniforms is capped at _DRAW_BUFFER doubles; past the cap it is refilled in
+blocks of rounds, with every generator kept alive between blocks.
 
 A config is count-independent exactly when no juror ever puts in effort,
 so that its response row is 0.5 throughout: no other row is constant, as a
@@ -159,44 +163,52 @@ def _response_row(payment: PaymentFunction, n: int) -> np.ndarray:
     return row[column]
 
 
+def _response_rows(
+    configs: Sequence[SimulationConfig],
+) -> dict[PaymentFunction, np.ndarray]:
+    """The response row of every distinct payment among the configs, which
+    share n; payments are frozen, so equal ones built apart count as one."""
+    n = configs[0].n
+    return {p: _response_row(p, n) for p in dict.fromkeys(c.payment for c in configs)}
+
+
 def _run_batch(
     configs: Sequence[SimulationConfig],
     rngs: list[np.random.Generator],
+    rows: dict[PaymentFunction, np.ndarray],
     record: list[RoundState] | None = None,
 ) -> np.ndarray:
     """Final votes of one run per generator, as a (len(rngs), n) array.
 
-    The configs share n and rounds, and the generators are dealt to them in
-    order, an equal number each: with s = len(rngs) // len(configs), rows
-    c*s to (c+1)*s - 1 run configs[c].  Row k draws from ``rngs[k]``
-    exactly what a lone run would: n uniforms for round 0, then n per
-    round, in order; juror i reads uniform i.  The draws are buffered in
-    blocks of as many rounds as fit in _DRAW_BUFFER doubles (at least one),
-    and each generator lives across blocks, so neither the block size nor
-    the other rows of the batch ever change a stream.  When ``record`` is
-    given, row 0's per-kind counts of every round are appended to it.
+    The configs share n and rounds, and ``rows`` maps each config's payment
+    to its response row (see _response_rows).  The generators are dealt to
+    the configs in order, an equal number each: with
+    s = len(rngs) // len(configs), rows c*s to (c+1)*s - 1 run configs[c].
+    Row k draws from ``rngs[k]`` exactly what a lone run would: n uniforms
+    for round 0, then n per round, in order; juror i reads uniform i.  The
+    draws are buffered in blocks of as many rounds as fit in _DRAW_BUFFER
+    doubles (at least one), and each generator lives across blocks, so
+    neither the block size nor the other rows of the batch ever change a
+    stream.  When ``record`` is given, row 0's per-kind counts of every
+    round are appended to it.
 
     Without ``record``, the rows of a count-independent config (its
     response row is 0.5 at every feedback count) skip to the last round,
     as the module docstring describes.
     """
     n, rounds = configs[0].n, configs[0].rounds
-    if any(c.n != n or c.rounds != rounds for c in configs):
-        raise ValueError("the configs of one batch must share n and rounds")
     cell = np.repeat(np.arange(len(configs)), len(rngs) // len(configs))
     informed = np.array([assign_population(n, c.rho) for c in configs])
     # round 0: each batch row's (well-informed, misinformed) probabilities;
     # the first round(rho * n) jurors of a cell are the well-informed ones
     p0 = np.array([[k.value(c.epsilon) for k in _KINDS] for c in configs])[cell]
     zero_probs = np.where(np.arange(n) < informed[cell, None], p0[:, :1], p0[:, 1:])
-    # one build per distinct payment: the row depends on nothing else
-    built = {p: _response_row(p, n) for p in {c.payment for c in configs}}
-    responses = np.concatenate([built[c.payment] for c in configs])
+    table = np.array([rows[c.payment] for c in configs])
+    responses = table.ravel()
     final = np.empty((len(rngs), n), dtype=bool)
     skip = np.zeros(len(rngs), dtype=bool)
     if record is None:
-        flat = {p: bool((row == 0.5).all()) for p, row in built.items()}
-        skip = np.array([flat[c.payment] for c in configs])[cell]
+        skip = (table == 0.5).all(axis=1)[cell]
     last = np.empty((np.count_nonzero(skip), n))
     for k, row in zip(np.flatnonzero(skip), last):
         rngs[k].bit_generator.advance(n * rounds)
@@ -215,8 +227,8 @@ def _run_batch(
         offset = r % block
         if offset == 0:
             count = min(block, total - r)
-            for rng, rows in zip(live_rngs, draws):
-                rng.random(out=rows[:count])
+            for rng, block_draws in zip(live_rngs, draws):
+                rng.random(out=block_draws[:count])
         uniforms = draws[:, offset]
         if r == 0:
             votes = uniforms < zero_probs
@@ -239,7 +251,8 @@ def _run_batch(
 def simulate(config: SimulationConfig) -> Trajectory:
     """Run one seeded trajectory; identical configs give identical output."""
     record: list[RoundState] = []
-    votes = _run_batch([config], [np.random.default_rng(config.seed)], record)
+    rngs = [np.random.default_rng(config.seed)]
+    votes = _run_batch([config], rngs, _response_rows([config]), record)
     return Trajectory(
         states=tuple(record),
         final_correct=int(votes.sum()) > config.n / 2,
@@ -256,25 +269,44 @@ def batch_cells(n: int, samples: int) -> int:
 def correctness_estimates(
     configs: Sequence[SimulationConfig], samples: int
 ) -> np.ndarray:
-    """Correctness estimate of each config, as one batch of runs.
+    """Correctness estimate of each config, from batches of runs.
 
     The configs must share n and rounds.  Config c's sample k runs with
     seed derive_seed(configs[c].seed, k), so each estimate is the one
     :func:`correctness_estimate` gives for that config alone, and each
     sample matches a standalone simulate() call with its derived seed.
+    The configs run in consecutive batches of batch_cells(n, samples), with
+    the response rows and seed groups set up as the module docstring says.
     """
     _check_int(samples=samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not configs:
         raise ValueError("need at least one config")
+    n, rounds = configs[0].n, configs[0].rounds
+    if any(c.n != n or c.rounds != rounds for c in configs):
+        raise ValueError("the configs of one call must share n and rounds")
     # imported on first use, like numpy.random itself (see _seeding)
-    from ._seeding import sample_generators
+    from ._seeding import preset_generators, sample_states
 
+    rows = _response_rows(configs)
+    size = batch_cells(n, samples)
+    # whole batches of at most _DRAW_BUFFER // 4 samples (1 MiB of state
+    # words) share one seed derivation; a larger batch has its own
+    group = size * max(1, _DRAW_BUFFER // 4 // (size * samples))
     seeds = np.array([c.seed for c in configs], dtype=np.uint64)
-    rngs = sample_generators(seeds, samples)
-    correct = _run_batch(configs, rngs).sum(axis=1) > configs[0].n / 2
-    return np.count_nonzero(correct.reshape(len(configs), samples), axis=1) / samples
+    correct = np.empty(len(configs), dtype=np.intp)
+    for start in range(0, len(configs), group):
+        states = sample_states(seeds[start : start + group], samples)
+        for first in range(start, min(start + group, len(configs)), size):
+            batch = configs[first : first + size]
+            offset = (first - start) * samples
+            rngs = preset_generators(states[offset : offset + len(batch) * samples])
+            wins = _run_batch(batch, rngs, rows).sum(axis=1) > n / 2
+            correct[first : first + len(batch)] = np.count_nonzero(
+                wins.reshape(len(batch), samples), axis=1
+            )
+    return correct / samples
 
 
 def correctness_estimate(config: SimulationConfig, samples: int) -> float:

@@ -7,11 +7,14 @@ reward or the round-0 effort.  Every cell derives its own seed from
 (master seed, row, column), so results are bit-identical no matter how many
 workers evaluate the grid or in which order.
 
-The cells go to :func:`jurymech.dynamics.correctness_estimates` in
-rho-major batches of :func:`jurymech.dynamics.batch_cells` cells, and a
-worker pool maps whole batches.  A batch runs all its cells' samples
-together, with their seeds derived as one array; each sample's stream is
-the one its derived seed gives alone, so the batch size changes no value.
+The cells go rho-major to :func:`jurymech.dynamics.correctness_estimates`,
+which runs them in batches of :func:`jurymech.dynamics.batch_cells` cells
+and sets up once per call: one response row per distinct payment, and seed
+states derived per group of whole batches.  So one worker makes one call:
+a single process passes every cell at once, and a pool of w workers maps w
+tasks, each a contiguous run of whole batches.  Each sample's stream is the
+one its derived seed gives alone, so neither the batch size nor the split
+changes a value.
 """
 
 from __future__ import annotations
@@ -186,18 +189,20 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     started = time.perf_counter()
     cells = config.cell_simulations()
     size = batch_cells(config.n, config.samples)
-    batches = [cells[i : i + size] for i in range(0, len(cells), size)]
+    batches = math.ceil(len(cells) / size)
     estimate = partial(correctness_estimates, samples=config.samples)
     # a fork pool starts all its workers up front: no more than batches,
     # and none when one process would run them all
-    workers = min(threads, len(batches))
+    workers = min(threads, batches)
     if workers == 1:
-        values = [estimate(batch) for batch in batches]
+        values = estimate(cells)
     else:
-        chunk = max(1, len(batches) // (workers * 16))
+        # one task per worker, each a contiguous run of whole batches
+        bounds = [size * (batches * w // workers) for w in range(workers + 1)]
+        tasks = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(estimate, batches, chunksize=chunk))
-    grid = np.concatenate(values).reshape(config.rho_steps, config.x_steps)
+            values = np.concatenate(list(pool.map(estimate, tasks)))
+    grid = values.reshape(config.rho_steps, config.x_steps)
     return SweepResult(grid, config, time.perf_counter() - started)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jurymech import dynamics
+from jurymech import _seeding, dynamics
 from jurymech.dynamics import (
     SimulationConfig,
     assign_population,
@@ -15,9 +15,17 @@ from jurymech.dynamics import (
     simulate,
     _DRAW_BUFFER,
     _response_row,
+    _response_rows,
     _run_batch,
+    batch_cells,
 )
-from jurymech._seeding import PresetState, derive_seeds, sample_generators, seed_states
+from jurymech._seeding import (
+    PresetState,
+    derive_seeds,
+    sample_generators,
+    sample_states,
+    seed_states,
+)
 from jurymech.equilibrium import best_response
 from jurymech.model import (
     AgentKind,
@@ -483,7 +491,8 @@ class TestBatch:
             sum(t.final_correct for t in runs) / samples for runs in replays
         ]
         seeds = np.array([cfg.seed for cfg in configs], dtype=np.uint64)
-        votes = _run_batch(configs, sample_generators(seeds, samples))
+        rngs = sample_generators(seeds, samples)
+        votes = _run_batch(configs, rngs, _response_rows(configs))
         finals = [t.states[-1] for runs in replays for t in runs]
         informed = [assign_population(n, cfg.rho) for cfg in configs for _ in range(samples)]
         assert [(s.informed, s.misinformed) for s in finals] == [
@@ -499,7 +508,7 @@ class TestBatch:
         ]
         seeds = np.array([cfg.seed for cfg in configs], dtype=np.uint64)
         rngs = sample_generators(seeds, samples)
-        votes = _run_batch(configs, rngs)
+        votes = _run_batch(configs, rngs, _response_rows(configs))
         for c, cfg in enumerate(configs):
             informed = assign_population(n, cfg.rho)
             for k in range(samples):
@@ -534,6 +543,62 @@ class TestBatch:
         singles = np.array([correctness_estimate(cfg, 6) for cfg in configs])
         assert len(builds) == 1 + len(configs)
         assert estimates.tobytes() == singles.tobytes()
+
+    def test_one_row_build_per_payment_across_batches(self, monkeypatch):
+        builds, batches = [], []
+
+        def counting(payment, n):
+            builds.append(payment)
+            return _response_row(payment, n)
+
+        def recording(configs, rngs, rows, record=None):
+            batches.append(len(configs))
+            return _run_batch(configs, rngs, rows, record)
+
+        payments = [
+            ThresholdPayment(3.0),
+            KlerosPayment(1.0, 2.0),
+            AwardLossSharingPayment(800.0),
+        ]
+        configs = [
+            config(rho=0.1 * (c + 1), payment=payments[c % 3], rounds=10, seed=c)
+            for c in range(9)
+        ]
+        samples = 20
+        monkeypatch.setattr(dynamics, "_response_row", counting)
+        monkeypatch.setattr(dynamics, "_run_batch", recording)
+        estimates = correctness_estimates(configs, samples)
+        # three batches, the last one partial, and one build per payment
+        assert batch_cells(100, samples) == 4 and batches == [4, 4, 1]
+        assert len(builds) == 3 and set(builds) == set(payments)
+        singles = np.array([correctness_estimate(cfg, samples) for cfg in configs])
+        assert estimates.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("buffer", [160, 16])
+    def test_seed_groups_stay_bounded(self, buffer, monkeypatch):
+        n, samples = 400, 6
+        configs = [
+            config(n=n, rho=(c % 7) / 6, payment=ThresholdPayment(c / 5), rounds=5, seed=c)
+            for c in range(30)
+        ]
+        expected = correctness_estimates(configs, samples)
+        # batches of 3 configs, 18 samples; a cap of 40 samples holds two
+        # batches, a cap of 4 samples less than one
+        batch = batch_cells(n, samples) * samples
+        assert batch == 18
+        sizes = []
+
+        def recording(seeds, count):
+            sizes.append(len(seeds) * count)
+            return sample_states(seeds, count)
+
+        monkeypatch.setattr(_seeding, "sample_states", recording)
+        monkeypatch.setattr(dynamics, "_DRAW_BUFFER", buffer)
+        estimates = correctness_estimates(configs, samples)
+        assert sum(sizes) == len(configs) * samples and len(sizes) > 1
+        assert all(size <= max(buffer // 4, batch) for size in sizes)
+        assert max(sizes) == (36 if buffer == 160 else 18)
+        assert estimates.tobytes() == expected.tobytes()
 
     def test_batch_rejects_mixed_shapes(self):
         base = config(n=10, rounds=3)

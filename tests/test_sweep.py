@@ -195,10 +195,11 @@ class TestRunSweep:
         ]
         assert serial.grid.tobytes() == np.array(cells).tobytes()
 
-    @pytest.mark.parametrize("rho_steps, batches", [(2, 1), (6, 3)])
-    def test_pool_has_no_more_workers_than_batches(self, rho_steps, batches, monkeypatch):
-        # a stand-in pool that records its size and maps in this process
-        sizes = []
+    @pytest.fixture
+    def serial_pool(self, monkeypatch):
+        """A stand-in pool that records its size and its tasks, and maps in
+        this process; returns (sizes, tasks)."""
+        sizes, tasks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -211,16 +212,52 @@ class TestRunSweep:
                 return False
 
             def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+                mapped = list(iterable)
+                tasks.extend(mapped)
+                return map(fn, mapped)
 
+        monkeypatch.setattr("jurymech.sweep.ProcessPoolExecutor", SerialPool)
+        return sizes, tasks
+
+    @staticmethod
+    def assert_whole_batch_runs(grid: SweepConfig, tasks: list) -> None:
+        """The tasks are runs of whole batches, the last possibly ending in a
+        partial one, and together they are every cell in order."""
+        size = batch_cells(grid.n, grid.samples)
+        cells = grid.cell_simulations()
+        assert [cell for task in tasks for cell in task] == cells
+        starts = np.cumsum([0] + [len(task) for task in tasks])
+        assert all(start % size == 0 for start in starts[:-1])
+        assert all(len(task) > 0 for task in tasks)
+
+    @pytest.mark.parametrize("rho_steps, batches", [(2, 1), (6, 3)])
+    def test_pool_has_no_more_workers_than_batches(
+        self, rho_steps, batches, serial_pool
+    ):
+        sizes, tasks = serial_pool
         grid = dataclasses.replace(TINY, x_steps=2, rho_steps=rho_steps, n=100, samples=20)
         assert math.ceil(2 * rho_steps / batch_cells(grid.n, grid.samples)) == batches
         serial = run_sweep(grid, threads=1)
-        monkeypatch.setattr("jurymech.sweep.ProcessPoolExecutor", SerialPool)
         assert sizes == []
         pooled = run_sweep(grid, threads=64)
         # one batch runs inline, with no pool at all
         assert sizes == ([] if batches == 1 else [batches])
+        assert pooled.grid.tobytes() == serial.grid.tobytes()
+        # one task per worker, each a run of whole batches
+        assert len(tasks) == sum(sizes)
+        if tasks:
+            self.assert_whole_batch_runs(grid, tasks)
+
+    def test_uneven_split_gives_one_task_per_worker(self, serial_pool):
+        sizes, tasks = serial_pool
+        # 15 cells in batches of 4 (the last holds 3) over 3 workers
+        grid = dataclasses.replace(TINY, x_steps=3, rho_steps=5, n=100, samples=20)
+        assert batch_cells(grid.n, grid.samples) == 4
+        serial = run_sweep(grid, threads=1)
+        pooled = run_sweep(grid, threads=3)
+        assert sizes == [3]
+        assert [len(task) for task in tasks] == [4, 4, 7]
+        self.assert_whole_batch_runs(grid, tasks)
         assert pooled.grid.tobytes() == serial.grid.tobytes()
 
     def test_thread_validation(self):
