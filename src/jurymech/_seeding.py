@@ -122,8 +122,3 @@ def preset_generators(states: np.ndarray) -> list[np.random.Generator]:
     # be a contiguous length-4 array; rows of a C-contiguous array are.
     return [np.random.Generator(np.random.PCG64(PresetState(row))) for row in states]
 
-
-def sample_generators(seeds: np.ndarray, samples: int) -> list[np.random.Generator]:
-    """default_rng(derive_seed(seed, k)) for every uint64 seed and every
-    k < samples, seed-major."""
-    return preset_generators(sample_states(seeds, samples))

@@ -146,9 +146,7 @@ def _cmd_check_payment(args: argparse.Namespace) -> int:
 
 def _cmd_design(args: argparse.Namespace) -> int:
     options = DesignOptions(
-        lower_bound=args.lower_bound,
-        require_monotone=args.monotone,
-        individual_rationality=args.individual_rationality,
+        lower_bound=args.lower_bound, individual_rationality=args.individual_rationality
     )
     profile = EffortProfile(AgentKind.WELL_INFORMED, args.rate)
     design = design_payments(args.n, args.target, profile, options)
@@ -238,7 +236,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--target", type=float, required=True, help="vote fraction in (1/2, 1)")
     sub.add_argument("--rate", type=_finite, default=1.0)
     sub.add_argument("--lower-bound", type=float, default=0.0)
-    sub.add_argument("--monotone", action="store_true")
     sub.add_argument("--individual-rationality", action="store_true")
     sub.add_argument("--out", default=".", help="output directory")
     sub.set_defaults(handler=_cmd_design)

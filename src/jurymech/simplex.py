@@ -1,7 +1,8 @@
 """Dense two-phase simplex solver for payment_design.LinearProgram.
 
-No library path calls it (``design_payments`` has a closed form); the
-tests and the benchmark import it as ``jurymech.simplex`` to cross-check.
+No library path calls it (``design_payments`` has a closed form).  Only
+the benchmark, which times it, and its own tests import it, as
+``jurymech.simplex``.
 
 Solves  minimize c @ v  subject to  G @ v >= h,  A @ v == b,  v >= lb,
 where individual lower bounds may be -inf (free variables).  Free variables

@@ -31,7 +31,8 @@ from functools import partial
 import numpy as np
 
 # bench/tracer.py wraps correctness_estimate and derive_seed under their
-# names in this module, so both stay imported here.
+# names in this module.  _simulation calls derive_seed, so only
+# correctness_estimate is imported just for the tracer.
 from .dynamics import (  # noqa: F401
     SimulationConfig,
     batch_cells,

@@ -14,7 +14,6 @@ import numpy as np
 from jurymech.cli import cli_main
 from jurymech.dynamics import SimulationConfig, correctness_estimate
 from jurymech.equilibrium import (
-    best_response_to_pmf,
     find_symmetric_equilibria,
     mirror,
     others_vote_pmf,
@@ -22,9 +21,7 @@ from jurymech.equilibrium import (
     verify_equilibrium,
 )
 from jurymech.model import (
-    AgentKind,
     AwardLossSharingPayment,
-    EffortProfile,
     KlerosPayment,
     Strategy,
     StrategyProfile,
@@ -34,11 +31,21 @@ from jurymech.model import (
     vote_advantage,
     vote_probability,
 )
-from jurymech.payment_design import DesignOptions, binomial_weights, build_lp
-from jurymech.simplex import SolveStatus, solve
-
-WELL = EffortProfile(AgentKind.WELL_INFORMED)
-MIS = EffortProfile(AgentKind.MISINFORMED)
+from jurymech.payment_design import (
+    DesignError,
+    DesignOptions,
+    binomial_weights,
+    build_lp,
+    design_payments,
+)
+from oracles import (
+    WELL,
+    best_response_shortfall,
+    enumerated_pmf,
+    random_curve,
+    random_payment,
+    scaled_candidates,
+)
 
 
 def _gate(name: str, ok: bool, detail: str = "") -> None:
@@ -49,22 +56,6 @@ def _gate(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _random_curve(rng) -> EffortProfile:
-    kind = AgentKind.WELL_INFORMED if rng.random() < 0.5 else AgentKind.MISINFORMED
-    return EffortProfile(kind, rate=float(rng.uniform(0.3, 3.0)))
-
-
-def _random_payment(rng, n: int):
-    pick = int(rng.integers(4))
-    if pick == 0:
-        return ThresholdPayment(float(rng.uniform(0.0, 6.0)))
-    if pick == 1:
-        return AwardLossSharingPayment(float(rng.uniform(0.0, 3.0 * n)))
-    if pick == 2:
-        return KlerosPayment(float(rng.uniform(0.0, 2.0 * n)), float(rng.uniform(0.0, 2.0 * n)))
-    return TabulatedPayment(n, tuple(rng.uniform(-5.0, 5.0, size=n)))
-
-
 def test_criterion_1_equilibrium_structure():
     rng = np.random.default_rng(1)
 
@@ -72,9 +63,9 @@ def test_criterion_1_equilibrium_structure():
     no_effort_ok = True
     for _ in range(50):
         n = int(rng.integers(2, 41))
-        payment = _random_payment(rng, n)
+        payment = random_payment(rng, n)
         agents = tuple(
-            (_random_curve(rng), Strategy(0.0, float(rng.random()))) for _ in range(n)
+            (random_curve(rng), Strategy(0.0, float(rng.random()))) for _ in range(n)
         )
         profile = StrategyProfile(agents)
         report = verify_equilibrium(profile, payment)
@@ -84,8 +75,6 @@ def test_criterion_1_equilibrium_structure():
 
     # (ii) continued: mirrored non-trivial equilibria
     mirror_ok = True
-    from jurymech.payment_design import design_payments
-
     for n, x in ((5, 0.6), (11, 0.75), (9, 0.9)):
         payment = design_payments(n, x).payment
         effort = WELL.inverse(x)
@@ -132,57 +121,30 @@ def test_criterion_1_equilibrium_structure():
 
 def test_criterion_2_best_response_oracle():
     rng = np.random.default_rng(2)
-    efforts = np.arange(0.0, 5.0 + 1e-12, 1e-3)
     worst_gap = -np.inf
     ok = True
     for _ in range(200):
         n = int(rng.integers(2, 31))
-        curve = _random_curve(rng)
-        payment = _random_payment(rng, n)
+        curve = random_curve(rng)
+        payment = random_payment(rng, n)
         raw = rng.random(n) ** 2
-        pmf = raw / raw.sum()
-
-        table = payment.value(n)
-        pay_true = math.fsum(p * table[t] for t, p in enumerate(pmf))
-        advantage = expected_vote_advantage(payment, pmf, n)
-        half = np.exp(-curve.rate * efforts) / 2.0
-        quality = 1.0 - half if curve.kind is AgentKind.WELL_INFORMED else half
-        grid_best = -np.inf
-        for fidelity in (0.0, 1.0):
-            utilities = (
-                -efforts + pay_true + (fidelity * (2 * quality - 1) - quality) * advantage
-            )
-            grid_best = max(grid_best, float(utilities.max()))
-
-        br = best_response_to_pmf(curve, payment, pmf, n)
-        fid = 0.5 if br.fidelity is None else br.fidelity
-        f = curve.value(br.effort)
-        attained = -br.effort + pay_true + (fid * (2 * f - 1) - f) * advantage
-        gap = grid_best - attained
+        gap = best_response_shortfall(curve, payment, raw / raw.sum(), n)
         worst_gap = max(worst_gap, gap)
         ok &= gap <= 1e-4
     _gate("criterion 2: best-response oracle", ok, f"worst grid-vs-closed gap {worst_gap:.2e}")
 
 
 def test_criterion_3_poisson_binomial_exactness():
-    import itertools
-
     rng = np.random.default_rng(3)
     enum_ok = True
     worst = 0.0
     for n in range(2, 13):
         agents = tuple(
-            (_random_curve(rng), Strategy(float(rng.uniform(0.0, 2.0)), float(rng.random())))
+            (random_curve(rng), Strategy(float(rng.uniform(0.0, 2.0)), float(rng.random())))
             for _ in range(n)
         )
         profile = StrategyProfile(agents)
-        probs = [vote_probability(e, s) for e, s in agents[1:]]
-        exact = np.zeros(n)
-        for votes in itertools.product((0, 1), repeat=n - 1):
-            weight = 1.0
-            for vote, p in zip(votes, probs):
-                weight *= p if vote else 1.0 - p
-            exact[sum(votes)] += weight
+        exact = enumerated_pmf([vote_probability(e, s) for e, s in agents[1:]])
         gap = float(np.max(np.abs(others_vote_pmf(profile, 0) - exact)))
         worst = max(worst, gap)
         enum_ok &= gap <= 1e-10
@@ -202,51 +164,41 @@ def test_criterion_3_poisson_binomial_exactness():
 def test_criterion_4_lp_correctness():
     rng = np.random.default_rng(4)
     ok = True
-    details = []
     for n in (5, 11, 51):
         for x in (0.6, 0.75, 0.9):
             lp = build_lp(n, x)
-            solution = solve(lp)
-            optimal = solution.status is SolveStatus.OPTIMAL
-            ok &= optimal
-            if not optimal:
-                details.append(f"n={n},x={x}: {solution.status}")
-                continue
-            values = solution.values
+            design = design_payments(n, x)
+            values = np.array(design.payment.values)
 
             residual_min = float(np.min(lp.ge_matrix @ values - lp.ge_rhs))
             ok &= residual_min >= -1e-9
 
-            table = TabulatedPayment(n, tuple(values))
-            advantage = expected_vote_advantage(table, binomial_weights(n, x), n)
+            advantage = expected_vote_advantage(design.payment, binomial_weights(n, x), n)
             marginal = abs(WELL.derivative(WELL.inverse(x)) * advantage - 1.0)
             ok &= marginal <= 1e-8
 
             effort = WELL.inverse(x)
             profile = StrategyProfile(tuple((WELL, Strategy(effort, 1.0)) for _ in range(n)))
-            ok &= verify_equilibrium(profile, table, tol=1e-6).is_equilibrium
+            ok &= verify_equilibrium(profile, design.payment, tol=1e-6).is_equilibrium
 
             target = lp.eq_rhs[0]
             ok &= abs(target - 1.0 / (1.0 - x)) <= 1e-10 * max(1.0, target)
-            for _ in range(100):
-                candidate = np.cumsum(rng.uniform(0.05, 1.0, size=n))
-                cand_adv = expected_vote_advantage(
-                    TabulatedPayment(n, tuple(candidate)), binomial_weights(n, x), n
-                )
-                if cand_adv <= 0.0:
-                    continue
-                scaled = candidate * (target / cand_adv)
-                ok &= float(lp.objective @ scaled) >= solution.objective_value - 1e-9
-    _gate("criterion 4: LP correctness", ok, "; ".join(details) or "9 instances")
+            for scaled in scaled_candidates(rng, n, x, target):
+                ok &= float(lp.objective @ scaled) >= design.expected_cost - 1e-9
+    _gate("criterion 4: LP correctness", ok, "9 instances")
 
 
 def test_criterion_5_unboundedness_guard():
-    lp = build_lp(11, 0.75, options=DesignOptions(lower_bound=-math.inf))
-    status = solve(lp).status
+    try:
+        design_payments(11, 0.75, options=DesignOptions(lower_bound=-math.inf))
+    except DesignError as err:
+        status = err.status
+    else:
+        status = "a table"
     _gate(
         "criterion 5: unboundedness guard",
-        status is SolveStatus.UNBOUNDED,
-        f"status={status.value}",
+        status == "unbounded",
+        f"status={status}",
     )
 
 

@@ -76,8 +76,8 @@ class TestDesign:
         "flags,cost",
         [
             (["--n", "101", "--target", "0.51"], "1.078872"),
-            (["--n", "51", "--target", "0.75", "--monotone"], "3.000000"),
-            (["--n", "201", "--target", "0.75", "--monotone"], "3.000000"),
+            (["--n", "51", "--target", "0.75"], "3.000000"),
+            (["--n", "201", "--target", "0.75"], "3.000000"),
             (["--n", "2001", "--target", "0.6"], "1.500000"),
             (["--n", "11", "--target", "0.75", "--lower-bound", "-1e3"], "-996.999932"),
             (["--n", "11", "--target", "0.75", "--lower-bound", "-1.5e-2"], "2.985068"),
@@ -409,7 +409,8 @@ class TestExitCodes:
                 ("best-response", ["--seed", "--config", "--out", "--threads"]),
                 ("check-payment", ["--seed", "--config", "--out", "--threads"]),
                 ("find-eq", ["--seed", "--config", "--out", "--threads"]),
-                ("design", ["--seed", "--config", "--threads"]),
+                # no --monotone: the cheapest table is already nondecreasing
+                ("design", ["--seed", "--config", "--threads", "--monotone"]),
                 ("simulate", ["--config", "--threads"]),
             ]
             for flag in flags
@@ -419,8 +420,8 @@ class TestExitCodes:
         self, command, flag, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        value = {"--seed": "4", "--config": "nope.json", "--out": "out", "--threads": "8"}
-        code, out, err = run([command, *self.VALID[command], flag, value[flag]], capsys)
+        value = {"--seed": ["4"], "--config": ["nope.json"], "--out": ["out"], "--threads": ["8"]}
+        code, out, err = run([command, *self.VALID[command], flag, *value.get(flag, [])], capsys)
         assert code == 1 and "usage error" in err and flag in err
         assert out == ""
         assert not (tmp_path / "out").exists()

@@ -22,13 +22,12 @@ from jurymech.dynamics import (
 from jurymech._seeding import (
     PresetState,
     derive_seeds,
-    sample_generators,
+    preset_generators,
     sample_states,
     seed_states,
 )
 from jurymech.equilibrium import best_response
 from jurymech.model import (
-    AgentKind,
     AwardLossSharingPayment,
     EffortProfile,
     KlerosPayment,
@@ -38,9 +37,7 @@ from jurymech.model import (
     vote_advantage,
     vote_probability,
 )
-
-WELL = EffortProfile(AgentKind.WELL_INFORMED)
-MIS = EffortProfile(AgentKind.MISINFORMED)
+from oracles import MIS, WELL
 
 
 def kind_row(curve: EffortProfile, payment, n: int) -> np.ndarray:
@@ -318,11 +315,6 @@ class TestCorrectnessEstimate:
         low = correctness_estimate(config(rho=0.1), 20)
         assert abs(high + low - 1.0) <= 0.15
 
-    def test_award_loss_extremes(self):
-        payment = AwardLossSharingPayment(2500.0)
-        assert correctness_estimate(config(rho=0.95, payment=payment), 20) >= 0.9
-        assert correctness_estimate(config(rho=0.05, payment=payment), 20) <= 0.1
-
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             correctness_estimate(config(), 0)
@@ -426,7 +418,7 @@ class TestDeriveSeed:
 
     def test_generators_replay_default_rng(self):
         seeds = [3, 2**32 + 5, 2**64 - 1]
-        generators = sample_generators(np.array(seeds, dtype=np.uint64), 7)
+        generators = preset_generators(sample_states(np.array(seeds, dtype=np.uint64), 7))
         assert len(generators) == 21
         for (seed, k), rng in zip([(s, k) for s in seeds for k in range(7)], generators):
             reference = np.random.default_rng(derive_seed(seed, k))
@@ -443,7 +435,8 @@ class TestDeriveSeed:
     def test_advance_skips_uniform_draws(self, skipped):
         # a count-independent batch row advances past its early rounds
         seeds = np.array([3, 2**40 + 5], dtype=np.uint64)
-        for rng, reference in zip(sample_generators(seeds, 2), sample_generators(seeds, 2)):
+        rngs, references = (preset_generators(sample_states(seeds, 2)) for _ in range(2))
+        for rng, reference in zip(rngs, references):
             rng.bit_generator.advance(skipped)
             assert np.array_equal(rng.random(50), reference.random(skipped + 50)[skipped:])
             assert rng.bit_generator.state == reference.bit_generator.state
@@ -491,7 +484,7 @@ class TestBatch:
             sum(t.final_correct for t in runs) / samples for runs in replays
         ]
         seeds = np.array([cfg.seed for cfg in configs], dtype=np.uint64)
-        rngs = sample_generators(seeds, samples)
+        rngs = preset_generators(sample_states(seeds, samples))
         votes = _run_batch(configs, rngs, _response_rows(configs))
         finals = [t.states[-1] for runs in replays for t in runs]
         informed = [assign_population(n, cfg.rho) for cfg in configs for _ in range(samples)]
@@ -507,7 +500,7 @@ class TestBatch:
             for r, w, s in cells
         ]
         seeds = np.array([cfg.seed for cfg in configs], dtype=np.uint64)
-        rngs = sample_generators(seeds, samples)
+        rngs = preset_generators(sample_states(seeds, samples))
         votes = _run_batch(configs, rngs, _response_rows(configs))
         for c, cfg in enumerate(configs):
             informed = assign_population(n, cfg.rho)

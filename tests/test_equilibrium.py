@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -37,23 +36,18 @@ from jurymech.model import (
     vote_probability,
 )
 from jurymech.payment_design import binomial_weights, design_payments
-
-WELL = EffortProfile(AgentKind.WELL_INFORMED)
-MIS = EffortProfile(AgentKind.MISINFORMED)
+from oracles import (
+    MIS,
+    WELL,
+    best_response_shortfall,
+    enumerated_pmf,
+    random_curve,
+    random_payment,
+)
 
 
 def uniform_profile(n: int, effort: float = 0.0, fidelity: float = 0.5) -> StrategyProfile:
     return StrategyProfile(tuple((WELL, Strategy(effort, fidelity)) for _ in range(n)))
-
-
-def enumerated_pmf(probs: list[float]) -> np.ndarray:
-    pmf = np.zeros(len(probs) + 1)
-    for votes in itertools.product((0, 1), repeat=len(probs)):
-        weight = 1.0
-        for vote, p in zip(votes, probs):
-            weight *= p if vote else 1.0 - p
-        pmf[sum(votes)] += weight
-    return pmf
 
 
 class TestOthersVotePmf:
@@ -85,15 +79,13 @@ class TestOthersVotePmf:
     def test_random_profiles_match_enumeration(self):
         rng = np.random.default_rng(5)
         for n in (2, 5, 9, 12):
-            agents = []
-            for _ in range(n):
-                kind = AgentKind.WELL_INFORMED if rng.random() < 0.5 else AgentKind.MISINFORMED
-                agents.append(
-                    (
-                        EffortProfile(kind, rate=float(rng.uniform(0.2, 3.0))),
-                        Strategy(float(rng.uniform(0.0, 2.0)), float(rng.random())),
-                    )
+            agents = [
+                (
+                    random_curve(rng, rates=(0.2, 3.0)),
+                    Strategy(float(rng.uniform(0.0, 2.0)), float(rng.random())),
                 )
+                for _ in range(n)
+            ]
             profile = StrategyProfile(tuple(agents))
             i = int(rng.integers(n))
             probs = [
@@ -118,14 +110,6 @@ class TestOthersVotePmf:
         # [0.5, 1.5] used to return [-0.25, 0.5, 0.75], and NaN all NaN
         with pytest.raises(ValueError, match="probabilit"):
             poisson_binomial_pmf(probs)
-
-    def test_homogeneous_matches_binomial_closed_form(self):
-        profile = StrategyProfile(
-            tuple((WELL, Strategy(1.0, 1.0)) for _ in range(100))
-        )
-        pmf = others_vote_pmf(profile, 0)
-        closed = binomial_weights(100, WELL.value(1.0))
-        assert pmf == pytest.approx(closed, abs=1e-10)
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
@@ -188,42 +172,15 @@ class TestBestResponseToPmf:
         assert br.fidelity == 1.0
 
 
-def grid_search_utility(curve, payment, pmf, n):
-    """Brute-force maximum of the expected utility over the strategy box."""
-    table = payment.value(n)
-    pay_true = math.fsum(p * table[t] for t, p in enumerate(pmf))
-    adv = expected_vote_advantage(payment, pmf, n)
-    efforts = np.arange(0.0, 5.0 + 1e-12, 1e-3)
-    quality = np.array([curve.value(e) for e in efforts])
-    best = -np.inf
-    for fidelity in (0.0, 1.0):
-        utilities = -efforts + pay_true + (fidelity * (2 * quality - 1) - quality) * adv
-        best = max(best, float(utilities.max()))
-    return best, pay_true, adv
-
-
 class TestBestResponseAgainstGridSearch:
     def test_random_instances(self):
         rng = np.random.default_rng(23)
         for _ in range(60):
             n = int(rng.integers(2, 25))
-            kind = AgentKind.WELL_INFORMED if rng.random() < 0.5 else AgentKind.MISINFORMED
-            curve = EffortProfile(kind, rate=float(rng.uniform(0.4, 2.5)))
-            payment = [
-                ThresholdPayment(float(rng.uniform(0.0, 6.0))),
-                AwardLossSharingPayment(float(rng.uniform(0.0, 3.0 * n))),
-                KlerosPayment(float(rng.uniform(0.0, 2.0 * n)), float(rng.uniform(0.0, 2.0 * n))),
-                TabulatedPayment(n, tuple(rng.uniform(-4.0, 4.0, size=n))),
-            ][int(rng.integers(4))]
+            curve = random_curve(rng, rates=(0.4, 2.5))
+            payment = random_payment(rng, n, table_spread=4.0)
             raw = rng.random(n) ** 2
-            pmf = raw / raw.sum()
-
-            best_grid, pay_true, adv = grid_search_utility(curve, payment, pmf, n)
-            br = best_response_to_pmf(curve, payment, pmf, n)
-            fidelity = 0.5 if br.fidelity is None else br.fidelity
-            quality = curve.value(br.effort)
-            attained = -br.effort + pay_true + (fidelity * (2 * quality - 1) - quality) * adv
-            assert attained >= best_grid - 1e-4
+            assert best_response_shortfall(curve, payment, raw / raw.sum(), n) <= 1e-4
 
 
 class TestVerifyEquilibrium:

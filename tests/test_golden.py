@@ -13,8 +13,9 @@ import pytest
 from jurymech.cli import cli_main
 from jurymech.equilibrium import find_symmetric_equilibria
 from jurymech.model import AgentKind, EffortProfile, KlerosPayment, ThresholdPayment
-from jurymech.payment_design import DesignOptions, build_lp, design_payments
+from jurymech.payment_design import build_lp, design_payments
 from jurymech.simplex import solve
+from oracles import DESIGN_OPTIONS
 
 SWEEP_CSV_SHA256 = {
     "fig1a-small": "fd165a041105efa71ef1b51bddd52b87277e8997fa728044d020f3861e2b0351",
@@ -47,11 +48,6 @@ def test_simulate_dump(capsys):
     assert sha256(out.encode("utf-8")) == SIMULATE_STDOUT_SHA256
 
 
-LP_OPTIONS = {
-    "plain": DesignOptions(),
-    "monotone": DesignOptions(require_monotone=True),
-    "ir": DesignOptions(individual_rationality=True),
-}
 LP_TARGETS = (0.51, 0.75, 0.99)
 LP_GRID = [
     (n, kind, x)
@@ -78,7 +74,7 @@ def test_design_lp_grid():
     outcomes = collections.Counter()
     for n, kind, x in LP_GRID:
         try:
-            sol = solve(build_lp(n, x, options=LP_OPTIONS[kind]), max_pivots=1000)
+            sol = solve(build_lp(n, x, options=DESIGN_OPTIONS[kind]), max_pivots=1000)
         except RuntimeError as exc:  # PivotLimitError is a RuntimeError
             item = (type(exc).__name__,)
         else:

@@ -19,9 +19,7 @@ from jurymech.model import (
     vote_advantage,
     vote_probability,
 )
-
-WELL = EffortProfile(AgentKind.WELL_INFORMED)
-MIS = EffortProfile(AgentKind.MISINFORMED)
+from oracles import MIS, WELL, random_curve
 
 
 def point_mass(t: int, n: int) -> np.ndarray:
@@ -368,10 +366,7 @@ class TestVoteProbability:
     def test_stays_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            curve = EffortProfile(
-                AgentKind.WELL_INFORMED if rng.random() < 0.5 else AgentKind.MISINFORMED,
-                rate=float(rng.uniform(0.1, 4.0)),
-            )
+            curve = random_curve(rng, rates=(0.1, 4.0))
             s = Strategy(float(rng.uniform(0.0, 20.0)), float(rng.random()))
             assert 0.0 <= vote_probability(curve, s) <= 1.0
 

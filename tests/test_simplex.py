@@ -1,10 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from jurymech.payment_design import DesignOptions, build_lp
+from jurymech.equilibrium import verify_equilibrium
+from jurymech.model import Strategy, StrategyProfile, TabulatedPayment, expected_vote_advantage
+from jurymech.payment_design import DesignOptions, binomial_weights, build_lp, design_payments
 from jurymech.simplex import LinearProgram, SolveStatus, _pivot, solve
+from oracles import DESIGN_OPTIONS, WELL, scaled_candidates
 
 
 def lp(c, ge=None, ge_rhs=None, eq=None, eq_rhs=None, lb=None):
@@ -195,3 +199,58 @@ def test_tableau_memory_is_bounded():
         tracemalloc.stop()
     assert sol.status is SolveStatus.OPTIMAL
     assert peak < 1_750_000
+
+
+DESIGN_LPS = [(n, x) for n in (5, 11, 51) for x in (0.6, 0.75, 0.9)]
+
+
+@pytest.mark.parametrize("n,x", DESIGN_LPS)
+def test_design_lp_optimum(n, x):
+    lp = build_lp(n, x)
+    sol = solve(lp)
+    assert sol.status is SolveStatus.OPTIMAL
+    values = sol.values
+    assert np.min(lp.ge_matrix @ values - lp.ge_rhs) >= -1e-9
+    assert abs(lp.eq_matrix @ values - lp.eq_rhs)[0] <= 1e-9
+    assert np.min(values) >= -1e-12
+
+    # the advantage through two summation orders: the LP equality row and
+    # the payment-side expectation; it meets the marginal condition
+    table = TabulatedPayment(n, tuple(values))
+    advantage = expected_vote_advantage(table, binomial_weights(n, x), n)
+    assert abs(float((lp.eq_matrix @ values)[0]) - advantage) <= 1e-9
+    effort = WELL.inverse(x)
+    assert abs(WELL.derivative(effort) * advantage - 1.0) <= 1e-8
+    profile = StrategyProfile(tuple((WELL, Strategy(effort, 1.0)) for _ in range(n)))
+    assert verify_equilibrium(profile, table, tol=1e-6).is_equilibrium
+
+    target = lp.eq_rhs[0]
+    assert abs(target - 1.0 / (1.0 - x)) <= 1e-10 * max(1.0, target)
+    # acceptance criterion 4's candidates (one default_rng(4) stream over
+    # DESIGN_LPS in order) and 100 more from default_rng(6)
+    rng = np.random.default_rng(4)
+    for earlier, _ in DESIGN_LPS[: DESIGN_LPS.index((n, x))]:
+        rng.uniform(0.05, 1.0, size=(100, earlier))
+    for rng in (rng, np.random.default_rng(6)):
+        for scaled in scaled_candidates(rng, n, x, target):
+            # scaling keeps feasibility: non-negative, condition rows, equality
+            assert np.min(lp.ge_matrix @ scaled - lp.ge_rhs) >= -1e-9
+            assert abs((lp.eq_matrix @ scaled)[0] - target) <= 1e-9 * target
+            assert lp.objective @ scaled >= sol.objective_value - 1e-9
+
+
+def test_design_lp_without_anchor_is_unbounded():
+    lp = build_lp(11, 0.75, options=DesignOptions(lower_bound=-math.inf))
+    assert solve(lp).status is SolveStatus.UNBOUNDED
+
+
+@pytest.mark.parametrize("kind", sorted(DESIGN_OPTIONS))
+@pytest.mark.parametrize("x", [0.75, 0.99])
+def test_matches_step_design(kind, x):
+    # The simplex is right on these small, well-scaled LPs.  Already at
+    # n = 21, x = 0.75 it stops 2.3e-8 above the optimum.
+    options = DESIGN_OPTIONS[kind]
+    sol = solve(build_lp(11, x, options=options))
+    assert sol.status is SolveStatus.OPTIMAL
+    design = design_payments(11, x, options=options)
+    assert design.expected_cost == pytest.approx(sol.objective_value, rel=1e-9)
