@@ -8,8 +8,9 @@ mixings in uint32 array arithmetic for a whole array of (seed, k) pairs
 (preset_generators), so every generator is exactly the one default_rng
 would build.  The two steps are apart so that a caller can derive the
 states of many batches at once and build each batch's generators only
-when it runs.  The module is imported only when samples are drawn, since
-importing numpy.random costs about 25 ms.
+when it runs; the :mod:`jurymech.dynamics` docstring describes how a Monte
+Carlo run groups them.  The module is imported only when samples are
+drawn, since importing numpy.random costs about 25 ms.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    AgentKind,
     EffortProfile,
     PaymentFunction,
     Strategy,
@@ -31,17 +32,19 @@ from .model import (
 # whatever the grid or jury size.
 _SCAN_CELLS = 2**15
 
-# The symmetric-equilibrium search scans efforts in [0, _SCAN_RANGE / rate]
+# The symmetric-equilibrium search runs in unit-rate effort u = rate * e, on
+# whose curve the quality is 1 - exp(-u)/2 at any rate, so that no bound
+# overflows however small the rate.  It scans u in [0, _SCAN_RANGE]
 # (qualities 1/2 to 1 - exp(-20)/2, none of which rounds to 1) at
-# _SCAN_POINTS points, and bisects every sign change to a width of
-# _BISECT_WIDTH / rate.  Efforts scale as 1/rate, and so must the width: an
-# absolute 1e-13 is below one ulp once efforts pass about 900.  Roots closer
-# than _MERGE_WIDTH / rate are one root; a root must have |g| <= _ROOT_TOL.
+# _SCAN_POINTS points and bisects every sign change to a width of
+# _BISECT_WIDTH.  Roots closer than _MERGE_WIDTH are one root; a root must
+# have |g| <= _ROOT_TOL.  The efforts are the roots divided by the rate.
 _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
 _BISECT_WIDTH = 1e-13
 _MERGE_WIDTH = 1e-9
 _ROOT_TOL = 1e-8
+_UNIT = EffortProfile(AgentKind.WELL_INFORMED)
 
 
 def _check_probabilities(probabilities: Sequence[float]) -> None:
@@ -298,13 +301,16 @@ def is_simple_profile(profile: StrategyProfile) -> bool:
 
 
 def _scan_values(
-    profile: EffortProfile,
+    rate: float,
     advantage_table: np.ndarray,
     log_choose: np.ndarray,
     grid: np.ndarray,
 ) -> np.ndarray:
-    """g(e) = slope(e) * E[advantage] - 1 at every effort of ``grid``, with the
-    other n-1 jurors' ground-truth votes ~ Binomial(n-1, quality(e)).
+    """g = slope * E[advantage] - 1 at every unit-rate effort u of ``grid``,
+    for well-informed jurors of the given rate at effort u / rate: the
+    quality is the unit-rate curve's at u, the slope is rate times its slope
+    there, and the other n-1 jurors' ground-truth votes ~ Binomial(n-1,
+    quality).
 
     The weights are binomial_weights' bit for bit (one kernel), and
     ``log_choose`` is _log_choose(n), computed once per search.  Grid points
@@ -318,9 +324,9 @@ def _scan_values(
     buffers = np.empty((2, min(step, grid.shape[0]), n))
     for start in range(0, grid.shape[0], step):
         efforts = grid[start : start + step].tolist()
-        quality = [profile.value(e) for e in efforts]
+        quality = [_UNIT.value(u) for u in efforts]
         weights = _binomial_rows(quality, log_choose, buffers[:, : len(efforts)])
-        slope = np.array([profile.derivative(e) for e in efforts])
+        slope = rate * np.array([_UNIT.derivative(u) for u in efforts])
         values[start : start + len(efforts)] = slope * (weights @ advantage_table) - 1.0
     return values
 
@@ -331,19 +337,21 @@ def find_symmetric_equilibria(
     """Positive efforts at which everyone playing (effort, fidelity 1) is an
     equilibrium of a homogeneous well-informed jury.
 
-    Scans g(e) = slope(e) * advantage(e) - 1 over [0, 20 / rate] for sign
-    changes and bisects every bracket at once; the scan and each bisection
-    step are one _scan_values pass.  Returns all roots found, largest first;
-    empty when g stays negative (no payment large enough to activate effort).
+    Scans g = slope * advantage - 1 over unit-rate efforts u in [0, 20] for
+    sign changes and bisects every bracket at once; the scan and each
+    bisection step are one _scan_values pass.  Returns all roots found, as
+    efforts u / rate, largest first; empty when g stays negative (no payment
+    large enough to activate effort).
     """
     if not profile.well_informed:
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
+    rate = profile.rate
     table = vote_advantage(payment, n)
     log_choose = _log_choose(n)
-    grid = np.linspace(0.0, _SCAN_RANGE / profile.rate, _SCAN_POINTS)
-    values = _scan_values(profile, table, log_choose, grid)
+    grid = np.linspace(0.0, _SCAN_RANGE, _SCAN_POINTS)
+    values = _scan_values(rate, table, log_choose, grid)
     brackets = np.flatnonzero(
         ((values[:-1] == 0.0) & (grid[:-1] > 0.0)) | (values[:-1] * values[1:] < 0.0)
     )
@@ -352,10 +360,9 @@ def find_symmetric_equilibria(
 
     k = brackets[~on_grid]
     lo, hi, g_lo = grid[k], grid[k + 1], values[k]
-    width = _BISECT_WIDTH / profile.rate
-    while (active := np.flatnonzero(hi - lo > width)).size:
+    while (active := np.flatnonzero(hi - lo > _BISECT_WIDTH)).size:
         mid = 0.5 * (lo[active] + hi[active])
-        g_mid = _scan_values(profile, table, log_choose, mid)
+        g_mid = _scan_values(rate, table, log_choose, mid)
         # a midpoint with g exactly 0 closes its bracket there
         zero = g_mid == 0.0
         left = zero | ((g_lo[active] < 0.0) == (g_mid < 0.0))
@@ -364,14 +371,13 @@ def find_symmetric_equilibria(
         g_lo[active[left]] = g_mid[left]
         hi[active[right]] = mid[right]
     mid = 0.5 * (lo + hi)
-    g_mid = _scan_values(profile, table, log_choose, mid)
+    g_mid = _scan_values(rate, table, log_choose, mid)
     roots += mid[np.abs(g_mid) <= _ROOT_TOL].tolist()
 
     # Collapse near-duplicate brackets around the same root.
     roots.sort(reverse=True)
-    merge = _MERGE_WIDTH / profile.rate
     deduped: list[float] = []
     for r in roots:
-        if not deduped or abs(deduped[-1] - r) > merge:
+        if not deduped or abs(deduped[-1] - r) > _MERGE_WIDTH:
             deduped.append(r)
-    return deduped
+    return [r / rate for r in deduped]

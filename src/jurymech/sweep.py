@@ -8,13 +8,12 @@ reward or the round-0 effort.  Every cell derives its own seed from
 workers evaluate the grid or in which order.
 
 The cells go rho-major to :func:`jurymech.dynamics.correctness_estimates`,
-which runs them in batches of :func:`jurymech.dynamics.batch_cells` cells
-and sets up once per call: one response row per distinct payment, and seed
-states derived per group of whole batches.  So one worker makes one call:
-a single process passes every cell at once, and a pool of w workers maps w
-tasks, each a contiguous run of whole batches.  Each sample's stream is the
-one its derived seed gives alone, so neither the batch size nor the split
-changes a value.
+one call per worker: a single process passes every cell at once, and a pool
+of w workers maps w tasks, each a contiguous run of whole batches of
+:func:`jurymech.dynamics.batch_cells` cells.  How a call batches its cells
+and sets up once is described in the :mod:`jurymech.dynamics` docstring;
+each sample's stream is the one its derived seed gives alone, so neither
+the batch size nor the split changes a value.
 """
 
 from __future__ import annotations

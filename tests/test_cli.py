@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import jurymech
 from jurymech.cli import cli_main, read_payment_table, write_payment_table
 from jurymech.model import TabulatedPayment
 
@@ -11,6 +15,16 @@ def run(args, capsys):
     code = cli_main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the jurymech these tests import."""
+    root = str(Path(jurymech.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 class TestBestResponse:
@@ -81,6 +95,9 @@ class TestDesign:
             (["--n", "2001", "--target", "0.6"], "1.500000"),
             (["--n", "11", "--target", "0.75", "--lower-bound", "-1e3"], "-996.999932"),
             (["--n", "11", "--target", "0.75", "--lower-bound", "-1.5e-2"], "2.985068"),
+            # individual rationality binds: the cost is the equilibrium effort
+            (["--n", "11", "--target", "0.75", "--lower-bound", "-1e3",
+              "--individual-rationality"], "0.693147"),
         ],
     )
     def test_expected_cost(self, flags, cost, tmp_path, capsys):
@@ -118,6 +135,10 @@ class TestDesign:
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header\n1,0.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            read_payment_table(str(path))
+        # and the rows must count k = 1, 2, ... without a gap
+        path.write_text("k,p\n1,0.0\n3,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected row k=2, got k=3"):
             read_payment_table(str(path))
 
     def test_non_finite_table_value(self, tmp_path):
@@ -166,6 +187,9 @@ class TestFindEq:
         code, out, _ = run(["find-eq", "--threshold", "0.5", "--n", "100"], capsys)
         assert code == 0
         assert out.strip() == "none found"
+        # 20 / rate overflows; the scan runs in unit-rate effort, which has no such bound
+        args = ["find-eq", "--threshold", "3", "--n", "100", "--rate", "1e-308"]
+        assert run(args, capsys) == (0, "none found\n", "")
 
 
 class TestSimulate:
@@ -295,19 +319,6 @@ class TestSweep:
             texts.append((out_dir / "tiny.csv").read_text(encoding="utf-8"))
         assert texts[0] != texts[1]
 
-    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
-        config_path = self.tiny_config(tmp_path)
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-        config["epsilon"] = float("nan")
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        code, _, err = run(
-            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
-        )
-        assert code == 1 and "usage error" in err
-        assert not (out_dir / "tiny.csv").exists()
-        assert not (out_dir / "tiny.svg").exists()
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -338,41 +349,6 @@ class TestSweep:
         assert code == 1 and err.startswith("usage error:")
         assert "Traceback" not in err
         assert not out_dir.exists()
-
-    def test_table_length_mismatch_rejected(self, tmp_path, capsys):
-        config_path = self.tiny_config(tmp_path)
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-        config.update(
-            axis="initial-effort", payment_kind="table", payment_values=[1.0] * 5
-        )
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        code, _, err = run(
-            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
-        )
-        assert code == 1 and "usage error" in err
-        assert not (out_dir / "tiny.csv").exists()
-        assert not (out_dir / "tiny.svg").exists()
-
-    @pytest.mark.parametrize(
-        "update",
-        [
-            {"payment_kind": "table", "payment_values": [1.0] * 15},
-            {"axis": "initial-effort", "payment_values": [1.0] * 15},
-        ],
-        ids=["table_on_reward_axis", "values_without_table"],
-    )
-    def test_unused_payment_settings_rejected(self, update, tmp_path, capsys):
-        config_path = self.tiny_config(tmp_path)
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-        config.update(update)
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        code, _, err = run(
-            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
-        )
-        assert code == 1 and "usage error" in err
-        assert not (out_dir / "tiny.csv").exists()
 
     def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
@@ -478,3 +454,26 @@ class TestExitCodes:
         assert f"argument {flag}:" in err
         assert out == ""
         assert not (tmp_path / "out").exists()
+
+
+class TestFreshInterpreter:
+    def test_import_leaves_the_solver_unloaded(self):
+        # the simplex is a leaf that the package does not load
+        code = "import sys, jurymech; print(jurymech.__file__, 'jurymech.simplex' in sys.modules)"
+        proc = run_python("-c", code)
+        assert (proc.returncode, proc.stdout) == (0, f"{jurymech.__file__} False\n"), proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, code, out, err",
+        [
+            (["best-response", "--kind", "well-informed", "--q", "3"], 0,
+             "lambda=0.405465 beta=1\n", ""),
+            (["find-eq", "--n", "100", "--threshold", "3.3", "--threads", "2"], 1,
+             "", "usage error: unrecognized arguments: --threads 2\n"),
+        ],
+        ids=["success", "usage_error"],
+    )
+    def test_module_entry_point(self, args, code, out, err):
+        # main() and the __main__ guard, with the exit code sys.exit gives
+        proc = run_python("-m", "jurymech.cli", *args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -430,6 +430,10 @@ class TestDeriveSeed:
             rng = np.random.Generator(np.random.PCG64(PresetState(state)))
             reference = np.random.default_rng(seed)
             assert np.array_equal(rng.random(16), reference.random(16))
+        # it holds one state, for a generator that asks for exactly that
+        for n_words, dtype in ((2, np.uint64), (4, np.uint32)):
+            with pytest.raises(ValueError, match="holds 4 uint64 words"):
+                PresetState(state).generate_state(n_words, dtype)
 
     @pytest.mark.parametrize("skipped", [0, 1, 999, _DRAW_BUFFER + 7])
     def test_advance_skips_uniform_draws(self, skipped):

@@ -613,7 +613,7 @@ class TestSymmetricScan:
         g = scalar_g(WELL, table)
         grid = np.linspace(0.0, 20.0, 10_000)
         reference = [g(e) for e in grid]
-        values = _scan_values(WELL, table, _log_choose(n), grid)
+        values = _scan_values(1.0, table, _log_choose(n), grid)
         assert_matches_scalar(values, reference)
         roots = find_symmetric_equilibria(WELL, payment, n)
         expected = scalar_scan_roots(g, grid, reference)
@@ -628,7 +628,7 @@ class TestSymmetricScan:
             table = np.zeros(n)
             table[t] = 1.0
             g = scalar_g(WELL, table)
-            values = _scan_values(WELL, table, _log_choose(n), grid)
+            values = _scan_values(1.0, table, _log_choose(n), grid)
             assert values.tolist() == [g(e) for e in grid]
 
     def test_chunks_cover_the_grid(self):
@@ -636,7 +636,7 @@ class TestSymmetricScan:
         table = vote_advantage(ThresholdPayment(20.0), 100)
         g = scalar_g(WELL, table)
         grid = np.linspace(0.0, 5.0, 1000)
-        values = _scan_values(WELL, table, _log_choose(100), grid)
+        values = _scan_values(1.0, table, _log_choose(100), grid)
         assert_matches_scalar(values, [g(e) for e in grid])
 
     def test_scan_memory_is_bounded(self):

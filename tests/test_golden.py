@@ -1,11 +1,14 @@
-"""Golden outputs: the sha256 of the small sweep CSVs, of one simulate
-dump, of a grid of simplex results on the design LP and of a set of
-symmetric-equilibrium roots.  Any change to a random stream, a
-response table, the output format or a simplex pivot moves one of these
+"""Golden outputs: the sha256 of the small sweep CSVs (at one worker and
+through a pool of two), of one simulate dump, of a grid of design LPs (their
+arrays, their simplex results and their closed-form designs) and of a set
+of symmetric-equilibrium roots.  Any change to a random stream, a response
+table, the output format, a design or a simplex pivot moves one of these
 hashes, so a refactor that claims bit-identical output is checked here
-rather than by hand."""
+rather than by hand.  An installed package, imported in place of src/, must
+reproduce them too."""
 
 import collections
+import dataclasses
 import hashlib
 
 import pytest
@@ -34,9 +37,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("preset", sorted(SWEEP_CSV_SHA256))
-def test_sweep_csv(preset, tmp_path, capsys):
-    assert cli_main(["sweep", "--preset", preset, "--out", str(tmp_path), "--no-svg"]) == 0
+@pytest.mark.parametrize(
+    "preset, threads",
+    [pytest.param(p, 1, id=p) for p in sorted(SWEEP_CSV_SHA256)]
+    + [pytest.param(p, 2, id=f"{p}-2w") for p in sorted(SWEEP_CSV_SHA256)],
+)
+def test_sweep_csv(preset, threads, tmp_path, capsys):
+    """The same bytes at one worker and through a real pool of two."""
+    args = ["sweep", "--preset", preset, "--out", str(tmp_path), "--no-svg"]
+    assert cli_main([*args, "--threads", str(threads)]) == 0
     capsys.readouterr()
     assert sha256((tmp_path / f"{preset}.csv").read_bytes()) == SWEEP_CSV_SHA256[preset]
 
@@ -56,6 +65,29 @@ LP_GRID = [
     for x in LP_TARGETS
 ] + [(201, kind, x) for kind in ("plain", "ir") for x in LP_TARGETS]
 LP_GRID_SHA256 = "3c7438db4222eb3ad95f7c750f5a0ff2b49747c82c6f2c05f3c4fbfa890e378e"
+BUILD_LP_SHA256 = "b7f3e3af99a9e8370495ce3206bc1fa344bb2a07acc025a625526ee5a277d00f"
+DESIGN_SHA256 = "eb6139c389e2d575cfefc7aa0a415d27c5f2b2c59c30f7ff59b39329b3087980"
+
+
+def test_build_lp_grid():
+    """The six arrays of build_lp on every LP_GRID point, byte for byte."""
+    digest = hashlib.sha256()
+    for n, kind, x in LP_GRID:
+        lp = build_lp(n, x, options=DESIGN_OPTIONS[kind])
+        for field in dataclasses.fields(lp):
+            digest.update(getattr(lp, field.name).tobytes())
+    assert digest.hexdigest() == BUILD_LP_SHA256
+
+
+def test_design_grid():
+    """design_payments on every LP_GRID point: the table, the expected cost,
+    the target advantage and the equilibrium effort, bit for bit."""
+    digest = hashlib.sha256()
+    for n, kind, x in LP_GRID:
+        d = design_payments(n, x, options=DESIGN_OPTIONS[kind])
+        item = (d.payment.values, d.expected_cost, d.target_advantage, d.equilibrium_effort)
+        digest.update(repr(item).encode("utf-8"))
+    assert digest.hexdigest() == DESIGN_SHA256
 
 
 def test_design_lp_grid():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -104,6 +105,9 @@ class TestBuildLp:
     def test_lower_bound_must_be_real_or_minus_inf(self, bound):
         with pytest.raises(ValueError, match="lower_bound"):
             DesignOptions(lower_bound=bound)
+        lp = build_lp(3, 0.75)
+        with pytest.raises(ValueError, match="lower bounds"):
+            dataclasses.replace(lp, lower_bounds=np.array([0.0, bound, 0.0]))
 
 
 class TestDesignPayments:

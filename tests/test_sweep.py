@@ -45,6 +45,11 @@ class TestSweepConfig:
             SweepConfig(
                 axis=Axis.REWARD_THRESHOLD, x_min=0.0, x_max=1.0, payment_kind="bogus"
             )
+        for field in ("n", "rounds", "samples"):
+            with pytest.raises(ValueError, match=">= 1"):
+                SweepConfig(axis=Axis.REWARD_THRESHOLD, x_min=0.0, x_max=1.0, **{field: 0})
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            SweepConfig(axis=Axis.REWARD_THRESHOLD, x_min=0.0, x_max=1.0, epsilon=-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
