@@ -6,14 +6,15 @@ Subcommands:
   design          cheapest payment table for a target vote fraction; writes CSV
   find-eq         symmetric-equilibrium efforts for a payment
   simulate        one trajectory, one line per round: "round,t_count"
-  sweep           correctness grid to CSV (and SVG heatmap)
+  sweep           correctness grid to CSV and SVG heatmap
 
 Each subcommand takes only the flags it reads.  Exit codes: 0 success,
 1 usage error, 2 runtime or solver failure.
 
-File formats: payment tables are CSV with header "k,p" listing p(k/n) for
-k = 1..n; sweep configs are JSON objects with SweepConfig's field names
-(unknown keys are rejected to catch typos).
+File formats: payment tables are CSV with header "k,p" listing, for
+k = 1..n, the payment p when k jurors voted the payee's way; sweep configs
+are JSON objects with SweepConfig's field names (unknown keys are rejected
+to catch typos).
 """
 
 from __future__ import annotations
@@ -181,13 +182,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     trajectory = simulate(config)
-    lines = trajectory_lines(trajectory)
-    if args.out is not None:
-        path = _out_dir(args) / "trajectory.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
-    else:
-        print("\n".join(lines))
+    print("\n".join(trajectory_lines(trajectory)))
     verdict = "correct" if trajectory.final_correct else "incorrect"
     print(f"final majority: {verdict}", file=sys.stderr)
     return 0
@@ -208,10 +203,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     csv_path = out / f"{name}.csv"
     write_csv(result, str(csv_path))
     print(f"wrote {csv_path}")
-    if not args.no_svg:
-        svg_path = out / f"{name}.svg"
-        render_heatmap(result, str(svg_path))
-        print(f"wrote {svg_path}")
+    svg_path = out / f"{name}.svg"
+    render_heatmap(result, str(svg_path))
+    print(f"wrote {svg_path}")
     print(f"elapsed: {result.elapsed_seconds:.1f}s")
     return 0
 
@@ -253,14 +247,12 @@ def build_parser() -> _Parser:
     sub.add_argument("--epsilon", type=float, required=True)
     sub.add_argument("--rounds", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=None, help="output directory (default: stdout)")
     sub.set_defaults(handler=_cmd_simulate)
 
     sub = subparsers.add_parser("sweep", help="correctness grid to CSV/SVG")
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=sorted(PRESETS))
     source.add_argument("--config", help="JSON sweep config file")
-    sub.add_argument("--no-svg", action="store_true")
     sub.add_argument("--seed", type=int, default=None, help="master seed override")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--threads", type=int, default=1, help="worker processes")
@@ -274,7 +266,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (UsageError, ValueError) as err:
+    except (UsageError, ValueError, MemoryError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError) as err:

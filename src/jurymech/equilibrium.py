@@ -69,9 +69,8 @@ def poisson_binomial_pmf(probabilities: Sequence[float]) -> np.ndarray:
 
 def _log_choose(n: int) -> np.ndarray:
     """log C(n-1, t) for t = 0..n-1, from lgamma."""
-    return math.lgamma(n) - np.array(
-        [math.lgamma(k + 1) + math.lgamma(n - k) for k in range(n)]
-    )
+    terms = (math.lgamma(k + 1) + math.lgamma(n - k) for k in range(n))
+    return math.lgamma(n) - np.fromiter(terms, float, count=n)
 
 
 def _binomial_rows(
@@ -139,28 +138,21 @@ def _leave_one_out_advantages(
     run_of = [0] * n
     for j in range(1, n):
         run_of[j] = run_of[j - 1] + (probs[j] != probs[j - 1])
-    num_runs = run_of[-1] + 1
+    # the juror each PMF leaves out: the first of its run
+    firsts = np.flatnonzero(np.diff(run_of, prepend=-1))
     step = max(1, _SCAN_CELLS // (n + 1))
     advantages = []
-    # two buffers, reused by every chunk: the PMFs, one per column so that a
-    # step's slices stay contiguous, and the shifted products
-    buffers = np.empty((2, (n + 1) * min(step, num_runs)))
-    for first in range(0, num_runs, step):
-        count = min(step, num_runs - first)
-        pmfs = buffers[0, : (n + 1) * count].reshape(n + 1, count)
-        shifted = buffers[1, : n * count].reshape(n, count)
-        pmfs.fill(0.0)
+    for first in range(0, len(firsts), step):
+        left_out = firsts[first : first + step]
+        # one PMF per column, so that a step's slices stay contiguous
+        pmfs = np.zeros((n + 1, len(left_out)))
         pmfs[0] = 1.0
+        shifted = np.empty_like(pmfs)
         for j, p in enumerate(probs):
-            keep = np.full(count, 1.0 - p)
-            take = np.full(count, p)
-            left_out = run_of[j] - first
-            if 0 <= left_out < count and (j == 0 or run_of[j - 1] != run_of[j]):
-                keep[left_out] = 1.0
-                take[left_out] = 0.0
+            take = np.where(left_out == j, 0.0, p)
             # after j steps the PMFs live on counts 0..j
             np.multiply(pmfs[: j + 1], take, out=shifted[: j + 1])
-            pmfs[: j + 2] *= keep
+            pmfs[: j + 2] *= 1.0 - take
             pmfs[1 : j + 2] += shifted[: j + 1]
         advantages += [
             math.fsum((pmf[:n] * advantage_table).tolist()) for pmf in pmfs.T
@@ -195,7 +187,8 @@ def best_response(profile: EffortProfile, advantage: float) -> BestResponse:
     drive = profile.derivative(0.0) * advantage
     if abs(drive) <= 1.0:
         return BestResponse(0.0, None)
-    effort = math.log(profile.rate * abs(advantage) / 2.0) / profile.rate
+    # two logs, because rate * |advantage| can overflow where neither does
+    effort = (math.log(profile.rate) + math.log(abs(advantage) / 2.0)) / profile.rate
     return BestResponse(effort, 1.0 if drive > 0.0 else 0.0)
 
 

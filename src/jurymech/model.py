@@ -5,8 +5,9 @@ effort ``effort >= 0`` and receives a signal that equals the ground truth
 with probability given by her effort curve; with probability ``fidelity``
 she casts the signal as her vote, otherwise the opposite.  The mechanism
 pays a juror according to how many jurors voted the same way she did, so a
-payment for a jury of ``n`` is a table over the counts k = 1..n (the
-fractions k/n); ``PaymentFunction.value(n)`` returns that table.
+payment for a jury of ``n`` is a table whose entry k is the payment when k
+jurors (k = 1..n, the payee included) voted the payee's way;
+``PaymentFunction.value(n)`` returns that table.
 
 Everything here is an immutable value type plus pure functions, so objects
 can be shared freely across threads and processes.
@@ -43,6 +44,8 @@ class EffortProfile:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
+        # a string kind ("well-informed") becomes the enum, or raises ValueError
+        object.__setattr__(self, "kind", AgentKind(self.kind))
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ValueError(f"rate must be finite and positive, got {self.rate}")
 

@@ -1,13 +1,14 @@
 """Cheapest payment design for homogeneous well-informed juries.
 
 The design problem is a linear program over the payment table entries
-p(1/n), ..., p(1): minimize the expected per-juror payment at the target
-equilibrium, subject to the simple-equilibrium row differences being
-non-negative and the marginal condition pinning the vote advantage at the
-target value.  Payments are anchored from below (default 0) because the
-constraints are invariant under adding a constant to the whole table, which
-would otherwise let the objective fall without limit.  ``build_lp`` states
-that program, a ``LinearProgram`` over Binomial(n-1, x) weights.
+p_1, ..., p_n, where p_k is paid when k jurors voted the payee's way:
+minimize the expected per-juror payment at the target equilibrium, subject
+to the simple-equilibrium row differences being non-negative and the
+marginal condition pinning the vote advantage at the target value.
+Payments are anchored from below (default 0) because the constraints are
+invariant under adding a constant to the whole table, which would otherwise
+let the objective fall without limit.  ``build_lp`` states that program, a
+``LinearProgram`` over Binomial(n-1, x) weights.
 
 ``design_payments`` solves it in closed form.  A table that steps up by R
 once at least s+1 jurors voted a juror's way costs R * C(s) above its base
@@ -119,8 +120,9 @@ def build_lp(
 ) -> LinearProgram:
     """Assemble the design LP over the n payment-table variables.
 
-    Variable k (0-based) is the payment at fraction (k+1)/n.  Row m of the
-    simple condition asks p[m+1] - p[m] + p[n-1-m] - p[n-2-m] >= 0.
+    Variable k (0-based) is the payment when k+1 jurors voted the payee's
+    way.  Row m of the simple condition asks
+    p[m+1] - p[m] + p[n-1-m] - p[n-2-m] >= 0.
     """
     effort, target_advantage, objective, equality = _design_problem(n, x, profile)
 

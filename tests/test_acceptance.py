@@ -247,7 +247,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
         code = cli_main(
             [
                 "sweep", "--preset", "fig1a-small", "--out", str(out_dir),
-                "--threads", threads, "--no-svg",
+                "--threads", threads,
             ]
         )
         assert code == 0
@@ -261,7 +261,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
         code = cli_main(
             [
                 "sweep", "--preset", "fig1a", "--out", str(tmp_path / "full"),
-                "--threads", str(os.cpu_count() or 1), "--no-svg",
+                "--threads", str(os.cpu_count() or 1),
             ]
         )
         elapsed = time.perf_counter() - started

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,10 @@ class TestBestResponse:
         code, out, _ = run(["best-response", "--kind", "misinformed", "--q", "3"], capsys)
         assert code == 0
         assert out.strip() == "lambda=0.405465 beta=0"
+
+    def test_huge_rate(self, capsys):
+        args = ["best-response", "--kind", "well-informed", "--q", "3", "--rate", "1e308"]
+        assert run(args, capsys) == (0, "lambda=0.000000 beta=1\n", "")
 
     @pytest.mark.parametrize(
         "q,line",
@@ -209,32 +214,6 @@ class TestSimulate:
         code2, out2, _ = run(args, capsys)
         assert out2 == out
 
-    def test_out_dir_file(self, tmp_path, capsys):
-        args = [
-            "simulate", "--threshold", "3", "--n", "10", "--rho", "1.0",
-            "--epsilon", "1", "--rounds", "3", "--seed", "1", "--out", str(tmp_path),
-        ]
-        code, out, _ = run(args, capsys)
-        assert code == 0
-        dump = (tmp_path / "trajectory.txt").read_text(encoding="utf-8")
-        assert len(dump.strip().splitlines()) == 4
-
-    @pytest.mark.parametrize("out", ["new/dir", "."])
-    def test_out_writes_the_stdout_dump(self, out, tmp_path, monkeypatch, capsys):
-        # "--out ." is a directory like any other, not a request for stdout
-        monkeypatch.chdir(tmp_path)
-        args = [
-            "simulate", "--threshold", "3", "--n", "10", "--rho", "0.5",
-            "--epsilon", "1", "--rounds", "3", "--seed", "1",
-        ]
-        code, stdout_dump, _ = run(args, capsys)
-        assert code == 0
-        code, out_text, _ = run([*args, "--out", out], capsys)
-        assert code == 0
-        path = tmp_path / out / "trajectory.txt"
-        assert out_text == f"wrote {Path(out) / 'trajectory.txt'}\n"
-        assert path.read_text(encoding="utf-8") == stdout_dump
-
     def test_payment_file_size_mismatch(self, tmp_path, capsys):
         table_path = tmp_path / "t.csv"
         write_payment_table(TabulatedPayment(3, (0.0, 1.0, 2.0)), str(table_path))
@@ -295,7 +274,7 @@ class TestSweep:
             code, _, _ = run(
                 [
                     "sweep", "--config", str(config_path), "--out", str(out_dir),
-                    "--threads", threads, "--no-svg",
+                    "--threads", threads,
                 ],
                 capsys,
             )
@@ -311,7 +290,7 @@ class TestSweep:
             code, _, _ = run(
                 [
                     "sweep", "--config", str(config_path), "--out", str(out_dir),
-                    "--seed", seed, "--no-svg",
+                    "--seed", seed,
                 ],
                 capsys,
             )
@@ -375,6 +354,7 @@ class TestExitCodes:
             "--threshold", "3", "--n", "10", "--rho", "1.0", "--epsilon", "1",
             "--rounds", "1",
         ],
+        "sweep": ["--preset", "fig1a-small", "--out", "out"],
     }
 
     @pytest.mark.parametrize(
@@ -387,7 +367,10 @@ class TestExitCodes:
                 ("find-eq", ["--seed", "--config", "--out", "--threads"]),
                 # no --monotone: the cheapest table is already nondecreasing
                 ("design", ["--seed", "--config", "--threads", "--monotone"]),
-                ("simulate", ["--config", "--threads"]),
+                # the trajectory dump goes to stdout only
+                ("simulate", ["--config", "--threads", "--out"]),
+                # a sweep always writes its CSV and its SVG heatmap
+                ("sweep", ["--no-svg"]),
             ]
             for flag in flags
         ],
@@ -400,6 +383,34 @@ class TestExitCodes:
         code, out, err = run([command, *self.VALID[command], flag, *value.get(flag, [])], capsys)
         assert code == 1 and "usage error" in err and flag in err
         assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("check-payment", ["--threshold", "3"]),
+            ("find-eq", ["--threshold", "3"]),
+            ("simulate", ["--threshold", "3", "--rho", "0.5", "--epsilon", "1", "--rounds", "1"]),
+            ("design", ["--target", "0.75", "--out", "out"]),
+        ],
+    )
+    def test_jury_too_big_for_memory(self, command, flags, tmp_path, monkeypatch, capsys):
+        # 10**17 floats are 711 PiB, past any address space, so the first
+        # array of that length fails to allocate and nothing is allocated;
+        # the guard stops a table built term by term before it is allocated
+        lgamma = math.lgamma
+        calls = []
+
+        def guarded_lgamma(x):
+            calls.append(x)
+            assert len(calls) < 100, "a jury-sized table is built before it is allocated"
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", guarded_lgamma)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([command, *flags, "--n", str(10**17)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_missing_payment_flag(self, capsys):

@@ -147,6 +147,13 @@ class TestBestResponse:
         br = best_response(fast, 3.0)
         assert fast.derivative(br.effort) * 3.0 == pytest.approx(1.0, abs=1e-12)
 
+    def test_huge_rate_does_not_overflow(self):
+        # rate * |advantage| / 2 is 1.5e308, past the largest float
+        steep = EffortProfile(AgentKind.WELL_INFORMED, rate=1e308)
+        br = best_response(steep, 3.0)
+        assert math.isfinite(br.effort) and br.fidelity == 1.0
+        assert steep.derivative(br.effort) * 3.0 == pytest.approx(1.0)
+
     def test_invalid_free_fidelity(self):
         with pytest.raises(ValueError):
             BestResponse(0.5, None)

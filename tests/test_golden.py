@@ -44,7 +44,7 @@ def sha256(data: bytes) -> str:
 )
 def test_sweep_csv(preset, threads, tmp_path, capsys):
     """The same bytes at one worker and through a real pool of two."""
-    args = ["sweep", "--preset", preset, "--out", str(tmp_path), "--no-svg"]
+    args = ["sweep", "--preset", preset, "--out", str(tmp_path)]
     assert cli_main([*args, "--threads", str(threads)]) == 0
     capsys.readouterr()
     assert sha256((tmp_path / f"{preset}.csv").read_bytes()) == SWEEP_CSV_SHA256[preset]

@@ -51,6 +51,13 @@ class TestEffortProfile:
                 )
                 assert curve.derivative(effort) == pytest.approx(central, abs=1e-6)
 
+    def test_string_kind(self):
+        profile = EffortProfile("well-informed")
+        assert profile == EffortProfile(AgentKind.WELL_INFORMED)
+        assert profile.value(1.0) == 1.0 - math.exp(-1.0) / 2.0
+        with pytest.raises(ValueError):
+            EffortProfile("bogus")
+
     def test_inverse_reference_values(self):
         assert WELL.inverse(0.75) == pytest.approx(math.log(2), abs=1e-10)
         assert MIS.inverse(0.25) == pytest.approx(math.log(2), abs=1e-10)
