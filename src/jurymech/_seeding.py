@@ -9,8 +9,10 @@ mixings in uint32 array arithmetic for a whole array of (seed, k) pairs
 would build.  The two steps are apart so that a caller can derive the
 states of many batches at once and build each batch's generators only
 when it runs; the :mod:`jurymech.dynamics` docstring describes how a Monte
-Carlo run groups them.  The module is imported only when samples are
-drawn, since importing numpy.random costs about 25 ms.
+Carlo run groups them.  grid_seeds does the first mixing for the entropy
+[master seed, row, column] of every cell of a sweep grid.  The module is
+imported only when samples are drawn or a grid is seeded, since importing
+numpy.random costs about 25 ms.
 """
 
 from __future__ import annotations
@@ -67,6 +69,13 @@ def _generate_state(pool: list[np.ndarray], n_words: int) -> list[np.ndarray]:
     return [_hash(pool[i % 4], _STATE_HASH, i) for i in range(n_words)]
 
 
+def _derived_seeds(words: list[np.ndarray]) -> np.ndarray:
+    """The uint64 seed SeedSequence derives from each entropy, with words
+    given as for _entropy_pool."""
+    state = _generate_state(_entropy_pool(words), 2)
+    return state[0].astype(np.uint64) | (state[1].astype(np.uint64) << 32)
+
+
 def _split(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low and high uint32 words of uint64 seeds."""
     return (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
@@ -81,8 +90,24 @@ def derive_seeds(seeds: np.ndarray, samples: int) -> np.ndarray:
     # [low, k] for a seed below 2**32 and [low, high, k] otherwise.
     wide = high != 0
     words = [low, np.where(wide, high, k), np.where(wide, k, 0), np.zeros_like(low)]
-    state = _generate_state(_entropy_pool(words), 2)
-    return state[0].astype(np.uint64) | (state[1].astype(np.uint64) << 32)
+    return _derived_seeds(words)
+
+
+def grid_seeds(master_seed: int, rows: int, cols: int) -> np.ndarray:
+    """jurymech.dynamics.derive_seed(master_seed, row, col) for every
+    row < rows and col < cols, as a (rows, cols) uint64 array."""
+    if max(rows, cols) > 2**32:
+        raise ValueError(f"a grid of {rows} x {cols} cells has an index past 2**32")
+    # (1, 1) arrays, not numpy scalars, whose arithmetic warns on overflow
+    low = np.full((1, 1), master_seed & _MASK32, dtype=np.uint32)
+    high = np.full((1, 1), master_seed >> 32, dtype=np.uint32)
+    row = np.arange(rows, dtype=np.uint32)[:, None]
+    col = np.arange(cols, dtype=np.uint32)[None, :]
+    # SeedSequence takes only the words the master needs: the entropy is
+    # [low, row, col] below 2**32, padded with high (then 0), and
+    # [low, high, row, col] otherwise
+    words = [low, high, row, col] if master_seed >> 32 else [low, row, col, high]
+    return _derived_seeds(words)
 
 
 def seed_states(seeds: np.ndarray) -> np.ndarray:

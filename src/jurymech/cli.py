@@ -255,7 +255,7 @@ def build_parser() -> _Parser:
     source.add_argument("--config", help="JSON sweep config file")
     sub.add_argument("--seed", type=int, default=None, help="master seed override")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--threads", type=int, default=1, help="worker processes")
+    sub.add_argument("--threads", type=int, default=1, help="workers, this process included")
     sub.set_defaults(handler=_cmd_sweep)
 
     return parser

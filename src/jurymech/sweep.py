@@ -8,12 +8,14 @@ reward or the round-0 effort.  Every cell derives its own seed from
 workers evaluate the grid or in which order.
 
 The cells go rho-major to :func:`jurymech.dynamics.correctness_estimates`,
-one call per worker: a single process passes every cell at once, and a pool
-of w workers maps w tasks, each a contiguous run of whole batches of
-:func:`jurymech.dynamics.batch_cells` cells.  How a call batches its cells
-and sets up once is described in the :mod:`jurymech.dynamics` docstring;
-each sample's stream is the one its derived seed gives alone, so neither
-the batch size nor the split changes a value.
+one call per worker: a single process passes every cell at once, and w
+workers are the calling process plus a pool of w - 1 forked processes,
+each running one task, a contiguous run of whole batches of
+:func:`jurymech.dynamics.batch_cells` cells; the caller runs the last
+task.  How a call batches its cells and sets up once is described in the
+:mod:`jurymech.dynamics` docstring; each sample's stream is the one its
+derived seed gives alone, so neither the batch size nor the split changes
+a value.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import partial
 import numpy as np
 
 # bench/tracer.py wraps correctness_estimate and derive_seed under their
-# names in this module.  _simulation calls derive_seed, so only
+# names in this module.  cell_simulation calls derive_seed, so only
 # correctness_estimate is imported just for the tracer.
 from .dynamics import (  # noqa: F401
     SimulationConfig,
@@ -135,21 +137,28 @@ class SweepConfig:
     def cell_simulation(self, row: int, col: int) -> SimulationConfig:
         """Simulation settings for one grid cell, with its derived seed."""
         rho, x = self.rho_values()[row], self.x_values()[col]
-        return self._simulation(row, col, rho, x, self.fixed_payment())
+        seed = derive_seed(self.master_seed, row, col)
+        return self._simulation(rho, x, self.fixed_payment(), seed)
 
     def cell_simulations(self) -> list[SimulationConfig]:
-        """cell_simulation of every cell, rho-major, with the axis values
-        and the fixed payment computed once."""
+        """cell_simulation of every cell, rho-major, with the axis values,
+        the fixed payment and every seed computed once."""
+        # imported on first use, like numpy.random itself (see _seeding)
+        from ._seeding import grid_seeds
+
+        # the grid's arrays come first, so a grid too big for memory fails
+        # before any cell is built
+        seeds = grid_seeds(self.master_seed, self.rho_steps, self.x_steps)
         xs = self.x_values()
         fixed = self.fixed_payment()
         return [
-            self._simulation(row, col, rho, x, fixed)
-            for row, rho in enumerate(self.rho_values())
-            for col, x in enumerate(xs)
+            self._simulation(rho, x, fixed, seed)
+            for rho, row in zip(self.rho_values(), seeds.tolist())
+            for x, seed in zip(xs, row)
         ]
 
     def _simulation(
-        self, row: int, col: int, rho: float, x: float, fixed: PaymentFunction
+        self, rho: float, x: float, fixed: PaymentFunction, seed: int
     ) -> SimulationConfig:
         x = float(x)
         if self.axis is Axis.REWARD_THRESHOLD:
@@ -167,7 +176,7 @@ class SweepConfig:
             payment=payment,
             epsilon=epsilon,
             rounds=self.rounds,
-            seed=derive_seed(self.master_seed, row, col),
+            seed=seed,
         )
 
 
@@ -181,7 +190,9 @@ class SweepResult:
 def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Evaluate the whole grid, optionally across worker processes.
 
-    The thread count only affects wall-clock time, never the numbers.
+    With threads = w > 1, up to w workers share the grid: this process and
+    a pool of at most w - 1 forked ones.  The thread count only affects
+    wall-clock time, never the numbers.
     """
     _check_int(threads=threads)
     if threads < 1:
@@ -200,8 +211,12 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
         # one task per worker, each a contiguous run of whole batches
         bounds = [size * (batches * w // workers) for w in range(workers + 1)]
         tasks = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = np.concatenate(list(pool.map(estimate, tasks)))
+        # this process runs the last task, which has no fewer batches than
+        # the others, since it starts at once and a forked worker does not
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            pooled = pool.map(estimate, tasks[:-1])
+            last = estimate(tasks[-1])
+            values = np.concatenate([*pooled, last])
     grid = values.reshape(config.rho_steps, config.x_steps)
     return SweepResult(grid, config, time.perf_counter() - started)
 

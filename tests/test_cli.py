@@ -9,6 +9,7 @@ import pytest
 
 import jurymech
 from jurymech.cli import cli_main, read_payment_table, write_payment_table
+from jurymech.dynamics import SimulationConfig
 from jurymech.model import TabulatedPayment
 
 
@@ -327,6 +328,31 @@ class TestSweep:
         )
         assert code == 1 and err.startswith("usage error:")
         assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_grid_too_big_for_memory(self, tmp_path, monkeypatch, capsys):
+        # 10**7 x 10**7 cells are 10**14, past any address space, so the
+        # grid's seed array fails to allocate (each axis alone is 80 MB);
+        # the guard stops cells built one by one before the grid is allocated
+        built = []
+
+        def guarded_cell(**fields):
+            built.append(fields)
+            assert len(built) < 100, "cells are built before the grid is allocated"
+            return SimulationConfig(**fields)
+
+        monkeypatch.setattr("jurymech.sweep.SimulationConfig", guarded_cell)
+        config_path = self.tiny_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config.update(x_steps=10**7, rho_steps=10**7)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
+        assert built == []
         assert not out_dir.exists()
 
     def test_preset_and_config_are_exclusive(self, tmp_path, capsys):

@@ -1,10 +1,18 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from jurymech.dynamics import batch_cells, correctness_estimate
+from jurymech._seeding import grid_seeds
+from jurymech.dynamics import (
+    batch_cells,
+    correctness_estimate,
+    correctness_estimates,
+    derive_seed,
+)
 from jurymech.model import AwardLossSharingPayment, TabulatedPayment, ThresholdPayment
 from jurymech.sweep import (
     PRESETS,
@@ -15,6 +23,19 @@ from jurymech.sweep import (
     run_sweep,
     write_csv,
 )
+
+_CALLER = os.getpid()
+
+
+def _fail_in_caller(configs, samples):
+    """correctness_estimates, except that in this process it fails and
+    names how many worker processes are alive beside it (module level, so
+    that a pool can pickle it)."""
+    if os.getpid() == _CALLER:
+        workers = len(multiprocessing.active_children())
+        raise RuntimeError(f"the caller's task failed beside {workers} workers")
+    return correctness_estimates(configs, samples)
+
 
 TINY = SweepConfig(
     axis=Axis.REWARD_THRESHOLD,
@@ -153,6 +174,17 @@ class TestSweepConfig:
             5, (0.0, 0.0, 1.0, 2.0, 3.0)
         )
 
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_grid_seeds_match_derive_seed(self, master):
+        seeds = grid_seeds(master, 3, 5)
+        assert seeds.dtype == np.uint64 and seeds.shape == (3, 5)
+        assert seeds.tolist() == [[derive_seed(master, i, j) for j in range(5)] for i in range(3)]
+
+    def test_grid_seeds_reject_an_index_of_two_words(self):
+        # SeedSequence would take such an index as two words
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            grid_seeds(0, 2, 2**32 + 1)
+
     def test_cell_seeds_differ(self):
         seeds = {
             TINY.cell_simulation(i, j).seed
@@ -188,9 +220,11 @@ class TestRunSweep:
             master_seed=2**40 + 1,
         )
         assert batch_cells(grid.n, grid.samples) == 4
-        assert grid.cell_simulations() == [
-            grid.cell_simulation(i, j) for i in range(3) for j in range(7)
-        ]
+        # a master seed of two SeedSequence words, and one of one word
+        for seeded in (grid, dataclasses.replace(grid, master_seed=7)):
+            assert seeded.cell_simulations() == [
+                seeded.cell_simulation(i, j) for i in range(3) for j in range(7)
+            ]
         serial = run_sweep(grid, threads=1)
         parallel = run_sweep(grid, threads=2)
         assert serial.grid.tobytes() == parallel.grid.tobytes()
@@ -202,13 +236,20 @@ class TestRunSweep:
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
-        """A stand-in pool that records its size and its tasks, and maps in
-        this process; returns (sizes, tasks)."""
+        """A stand-in pool that records its size and maps in this process at
+        once, and a record of every correctness_estimates call run_sweep
+        makes, in call order: the pool's tasks, then this process's own.
+        Returns (sizes, tasks)."""
         sizes, tasks = [], []
+
+        def recording(configs, samples):
+            tasks.append(configs)
+            return correctness_estimates(configs, samples)
 
         class SerialPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+                self.max_workers = max_workers
 
             def __enter__(self):
                 return self
@@ -218,10 +259,12 @@ class TestRunSweep:
 
             def map(self, fn, iterable, chunksize=1):
                 mapped = list(iterable)
-                tasks.extend(mapped)
-                return map(fn, mapped)
+                # one task per pool worker
+                assert len(mapped) == self.max_workers
+                return [fn(task) for task in mapped]
 
         monkeypatch.setattr("jurymech.sweep.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("jurymech.sweep.correctness_estimates", recording)
         return sizes, tasks
 
     @staticmethod
@@ -243,15 +286,17 @@ class TestRunSweep:
         grid = dataclasses.replace(TINY, x_steps=2, rho_steps=rho_steps, n=100, samples=20)
         assert math.ceil(2 * rho_steps / batch_cells(grid.n, grid.samples)) == batches
         serial = run_sweep(grid, threads=1)
-        assert sizes == []
+        # one worker runs every cell in this process, with no pool
+        assert sizes == [] and tasks == [grid.cell_simulations()]
+        tasks.clear()
         pooled = run_sweep(grid, threads=64)
-        # one batch runs inline, with no pool at all
-        assert sizes == ([] if batches == 1 else [batches])
+        # one batch runs inline, with no pool at all; more take a pool of
+        # one worker fewer, this process being the last
+        assert sizes == ([] if batches == 1 else [batches - 1])
         assert pooled.grid.tobytes() == serial.grid.tobytes()
         # one task per worker, each a run of whole batches
-        assert len(tasks) == sum(sizes)
-        if tasks:
-            self.assert_whole_batch_runs(grid, tasks)
+        assert len(tasks) == sum(sizes) + 1
+        self.assert_whole_batch_runs(grid, tasks)
 
     def test_uneven_split_gives_one_task_per_worker(self, serial_pool):
         sizes, tasks = serial_pool
@@ -259,11 +304,23 @@ class TestRunSweep:
         grid = dataclasses.replace(TINY, x_steps=3, rho_steps=5, n=100, samples=20)
         assert batch_cells(grid.n, grid.samples) == 4
         serial = run_sweep(grid, threads=1)
+        tasks.clear()
         pooled = run_sweep(grid, threads=3)
-        assert sizes == [3]
+        # a pool of two runs 4 and 4 cells; this process runs the last 7
+        assert sizes == [2]
         assert [len(task) for task in tasks] == [4, 4, 7]
         self.assert_whole_batch_runs(grid, tasks)
         assert pooled.grid.tobytes() == serial.grid.tobytes()
+
+    @pytest.mark.parametrize("threads, forked", [(2, 1), (64, 2)])
+    def test_error_in_own_task_propagates(self, threads, forked, monkeypatch):
+        # 3 batches: min(threads, 3) workers, this process and the forked ones
+        grid = dataclasses.replace(TINY, x_steps=2, rho_steps=6, n=100, samples=20)
+        monkeypatch.setattr("jurymech.sweep.correctness_estimates", _fail_in_caller)
+        with pytest.raises(RuntimeError, match=f"task failed beside {forked} workers$"):
+            run_sweep(grid, threads=threads)
+        # the pool's worker has finished and been joined
+        assert multiprocessing.active_children() == []
 
     def test_thread_validation(self):
         with pytest.raises(ValueError):
