@@ -2,17 +2,19 @@
 
 ``default_rng(derive_seed(seed, k))`` runs numpy's SeedSequence twice:
 once to mix the entropy [seed, k] into a derived 64-bit seed, and once to
-turn that seed into PCG64's four state words.  This module redoes both
-mixings in uint32 array arithmetic for a whole array of (seed, k) pairs
-(sample_states), then hands each state to PCG64 through PresetState
-(preset_generators), so every generator is exactly the one default_rng
-would build.  The two steps are apart so that a caller can derive the
-states of many batches at once and build each batch's generators only
-when it runs; the :mod:`jurymech.dynamics` docstring describes how a Monte
-Carlo run groups them.  grid_seeds does the first mixing for the entropy
-[master seed, row, column] of every cell of a sweep grid.  The module is
-imported only when samples are drawn or a grid is seeded, since importing
-numpy.random costs about 25 ms.
+turn that seed into PCG64's four state words.  _state is the one mirror of
+SeedSequence here: it lays out an entropy's words as SeedSequence does and
+redoes its mixing in uint32 array arithmetic, for a whole array of
+entropies at once.  derive_seeds and seed_states are the two mixings for
+every (seed, k) pair, sample_states chains them, and preset_generators
+hands each state to PCG64 through PresetState, so every generator is
+exactly the one default_rng would build.  The two steps are apart so that
+a caller can derive the states of many batches at once and build each
+batch's generators only when it runs; the :mod:`jurymech.dynamics`
+docstring describes how a Monte Carlo run groups them.  grid_seeds does
+the first mixing for the entropy [master seed, row, column] of every cell
+of a sweep grid.  The module is imported only when samples are drawn or a
+grid is seeded, since importing numpy.random costs about 25 ms.
 """
 
 from __future__ import annotations
@@ -69,28 +71,35 @@ def _generate_state(pool: list[np.ndarray], n_words: int) -> list[np.ndarray]:
     return [_hash(pool[i % 4], _STATE_HASH, i) for i in range(n_words)]
 
 
-def _derived_seeds(words: list[np.ndarray]) -> np.ndarray:
-    """The uint64 seed SeedSequence derives from each entropy, with words
-    given as for _entropy_pool."""
-    state = _generate_state(_entropy_pool(words), 2)
-    return state[0].astype(np.uint64) | (state[1].astype(np.uint64) << 32)
+def _state(first: np.ndarray, *rest: np.ndarray, words: int) -> np.ndarray:
+    """SeedSequence([first, *rest]).generate_state(words, np.uint64) for a
+    uint64 array ``first`` and uint32 arrays ``rest`` that broadcast
+    together, along a new last axis.
 
-
-def _split(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high uint32 words of uint64 seeds."""
-    return (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    SeedSequence takes a value below 2**32 as one word and any other as two
+    (low, high), so the entropy is [low, *rest] or [low, high, *rest],
+    padded with 0 to the 4-word pool.
+    """
+    if len(rest) > 2:
+        raise ValueError(f"an entropy of 4 words holds at most 2 more parts, got {len(rest)}")
+    # arrays of at least one dimension, not numpy scalars, whose arithmetic
+    # warns on overflow
+    first, *rest = (np.atleast_1d(a) for a in (np.asarray(first, np.uint64), *rest))
+    low, high = (first & _MASK32).astype(np.uint32), (first >> 32).astype(np.uint32)
+    wide = high != 0
+    # pool word i + 1 is parts[i] after a two-word first, parts[i + 1] after one
+    zero = np.zeros(1, np.uint32)
+    parts = [high, *rest, zero, zero, zero]
+    entropy = [low, *(np.where(wide, parts[i], parts[i + 1]) for i in range(3))]
+    state = _generate_state(_entropy_pool(entropy), 2 * words)
+    # generate_state's own little-endian reading of uint32 pairs
+    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
 
 
 def derive_seeds(seeds: np.ndarray, samples: int) -> np.ndarray:
     """jurymech.dynamics.derive_seed(seed, k) for every uint64 seed (rows)
     and every k < samples (columns), as a uint64 array."""
-    low, high = _split(seeds[:, None])
-    k = np.arange(samples, dtype=np.uint32)
-    # SeedSequence takes only the words a seed needs, so the entropy is
-    # [low, k] for a seed below 2**32 and [low, high, k] otherwise.
-    wide = high != 0
-    words = [low, np.where(wide, high, k), np.where(wide, k, 0), np.zeros_like(low)]
-    return _derived_seeds(words)
+    return _state(seeds[:, None], np.arange(samples, dtype=np.uint32), words=1)[..., 0]
 
 
 def grid_seeds(master_seed: int, rows: int, cols: int) -> np.ndarray:
@@ -98,16 +107,8 @@ def grid_seeds(master_seed: int, rows: int, cols: int) -> np.ndarray:
     row < rows and col < cols, as a (rows, cols) uint64 array."""
     if max(rows, cols) > 2**32:
         raise ValueError(f"a grid of {rows} x {cols} cells has an index past 2**32")
-    # (1, 1) arrays, not numpy scalars, whose arithmetic warns on overflow
-    low = np.full((1, 1), master_seed & _MASK32, dtype=np.uint32)
-    high = np.full((1, 1), master_seed >> 32, dtype=np.uint32)
     row = np.arange(rows, dtype=np.uint32)[:, None]
-    col = np.arange(cols, dtype=np.uint32)[None, :]
-    # SeedSequence takes only the words the master needs: the entropy is
-    # [low, row, col] below 2**32, padded with high (then 0), and
-    # [low, high, row, col] otherwise
-    words = [low, high, row, col] if master_seed >> 32 else [low, row, col, high]
-    return _derived_seeds(words)
+    return _state(master_seed, row, np.arange(cols, dtype=np.uint32), words=1)[..., 0]
 
 
 def seed_states(seeds: np.ndarray) -> np.ndarray:
@@ -115,11 +116,7 @@ def seed_states(seeds: np.ndarray) -> np.ndarray:
     seed, as a C-contiguous (len(seeds), 4) array: the state that
     default_rng(seed) gives PCG64.  A seed below 2**32 is the one word
     [low], which pads to the same pool as [low, 0]."""
-    low, high = _split(seeds)
-    zero = np.zeros_like(low)
-    state = _generate_state(_entropy_pool([low, high, zero, zero]), 8)
-    # generate_state's own little-endian reading of uint32 pairs
-    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    return _state(seeds, words=4)
 
 
 class PresetState(bit_generator.ISeedSequence):

@@ -266,7 +266,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (UsageError, ValueError, MemoryError) as err:
+    except (UsageError, ValueError, MemoryError, OverflowError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError) as err:

@@ -176,7 +176,7 @@ def _run_batch(
     configs: Sequence[SimulationConfig],
     rngs: list[np.random.Generator],
     rows: dict[PaymentFunction, np.ndarray],
-    record: list[RoundState] | None = None,
+    record: np.ndarray | None = None,
 ) -> np.ndarray:
     """Final votes of one run per generator, as a (len(rngs), n) array.
 
@@ -189,8 +189,8 @@ def _run_batch(
     draws are buffered in blocks of as many rounds as fit in _DRAW_BUFFER
     doubles (at least one), and each generator lives across blocks, so
     neither the block size nor the other rows of the batch ever change a
-    stream.  When ``record`` is given, row 0's per-kind counts of every
-    round are appended to it.
+    stream.  When ``record`` is given, a (rounds + 1, 2) array, row 0's
+    per-kind counts of round r are written to its row r.
 
     Without ``record``, the rows of a count-independent config (its
     response row is 0.5 at every feedback count) skip to the last round,
@@ -238,23 +238,19 @@ def _run_batch(
             index = row_start + votes.sum(axis=1, keepdims=True)
             votes = uniforms < responses[index - votes]
         if record is not None:
-            record.append(
-                RoundState(
-                    int(np.count_nonzero(votes[0, : informed[0]])),
-                    int(np.count_nonzero(votes[0, informed[0] :])),
-                )
-            )
+            record[r] = votes[0, : informed[0]].sum(), votes[0, informed[0] :].sum()
     final[live] = votes
     return final
 
 
 def simulate(config: SimulationConfig) -> Trajectory:
     """Run one seeded trajectory; identical configs give identical output."""
-    record: list[RoundState] = []
+    # allocated first, so that more rounds than memory holds fail at once
+    record = np.empty((config.rounds + 1, 2), dtype=np.intp)
     rngs = [np.random.default_rng(config.seed)]
     votes = _run_batch([config], rngs, _response_rows([config]), record)
     return Trajectory(
-        states=tuple(record),
+        states=tuple(RoundState(*counts) for counts in record.tolist()),
         final_correct=int(votes.sum()) > config.n / 2,
     )
 

@@ -95,8 +95,8 @@ class SweepConfig:
             raise ValueError("x_steps and rho_steps must both be >= 2")
         if self.n < 1 or self.rounds < 1 or self.samples < 1:
             raise ValueError("n, rounds and samples must all be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.epsilon < 0.0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.payment_kind not in _PAYMENT_KINDS:
@@ -125,59 +125,48 @@ class SweepConfig:
     def x_values(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.x_steps)
 
-    def fixed_payment(self) -> PaymentFunction:
-        """Payment used when the x axis varies the initial effort."""
-        if self.payment_kind == "threshold":
-            return ThresholdPayment(self.omega)
-        if self.payment_kind == "award-loss":
-            return AwardLossSharingPayment(self.omega)
-        assert self.payment_values is not None
-        return TabulatedPayment(self.n, self.payment_values)
-
     def cell_simulation(self, row: int, col: int) -> SimulationConfig:
         """Simulation settings for one grid cell, with its derived seed."""
-        rho, x = self.rho_values()[row], self.x_values()[col]
+        payment, epsilon = self._columns()[col]
+        rho = float(self.rho_values()[row])
         seed = derive_seed(self.master_seed, row, col)
-        return self._simulation(rho, x, self.fixed_payment(), seed)
+        return SimulationConfig(
+            n=self.n, rho=rho, payment=payment, epsilon=epsilon, rounds=self.rounds, seed=seed
+        )
 
     def cell_simulations(self) -> list[SimulationConfig]:
-        """cell_simulation of every cell, rho-major, with the axis values,
-        the fixed payment and every seed computed once."""
+        """cell_simulation of every cell, rho-major, with every seed computed
+        at once and each column's payment and effort built once."""
         # imported on first use, like numpy.random itself (see _seeding)
         from ._seeding import grid_seeds
 
         # the grid's arrays come first, so a grid too big for memory fails
         # before any cell is built
         seeds = grid_seeds(self.master_seed, self.rho_steps, self.x_steps)
-        xs = self.x_values()
-        fixed = self.fixed_payment()
+        columns = self._columns()
         return [
-            self._simulation(rho, x, fixed, seed)
-            for rho, row in zip(self.rho_values(), seeds.tolist())
-            for x, seed in zip(xs, row)
+            SimulationConfig(
+                n=self.n, rho=rho, payment=payment, epsilon=epsilon, rounds=self.rounds, seed=seed
+            )
+            for rho, row in zip(self.rho_values().tolist(), seeds.tolist())
+            for (payment, epsilon), seed in zip(columns, row)
         ]
 
-    def _simulation(
-        self, rho: float, x: float, fixed: PaymentFunction, seed: int
-    ) -> SimulationConfig:
-        x = float(x)
+    def _columns(self) -> list[tuple[PaymentFunction, float]]:
+        """Each column's (payment, round-0 effort), in x order."""
+        xs = self.x_values().tolist()
         if self.axis is Axis.REWARD_THRESHOLD:
-            payment: PaymentFunction = ThresholdPayment(x)
-            epsilon = self.epsilon
-        elif self.axis is Axis.REWARD_AWARD_LOSS:
-            payment = AwardLossSharingPayment(x)
-            epsilon = self.epsilon
+            return [(ThresholdPayment(x), self.epsilon) for x in xs]
+        if self.axis is Axis.REWARD_AWARD_LOSS:
+            return [(AwardLossSharingPayment(x), self.epsilon) for x in xs]
+        if self.payment_kind == "threshold":
+            fixed: PaymentFunction = ThresholdPayment(self.omega)
+        elif self.payment_kind == "award-loss":
+            fixed = AwardLossSharingPayment(self.omega)
         else:
-            payment = fixed
-            epsilon = x
-        return SimulationConfig(
-            n=self.n,
-            rho=float(rho),
-            payment=payment,
-            epsilon=epsilon,
-            rounds=self.rounds,
-            seed=seed,
-        )
+            assert self.payment_values is not None
+            fixed = TabulatedPayment(self.n, self.payment_values)
+        return [(fixed, x) for x in xs]
 
 
 @dataclass(frozen=True)

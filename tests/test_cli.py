@@ -9,7 +9,7 @@ import pytest
 
 import jurymech
 from jurymech.cli import cli_main, read_payment_table, write_payment_table
-from jurymech.dynamics import SimulationConfig
+from jurymech.dynamics import RoundState, SimulationConfig
 from jurymech.model import TabulatedPayment
 
 
@@ -215,6 +215,26 @@ class TestSimulate:
         code2, out2, _ = run(args, capsys)
         assert out2 == out
 
+    def test_rounds_too_many_for_memory(self, monkeypatch, capsys):
+        # 10**15 rounds of two counts are 14.2 PiB, so the record fails to
+        # allocate before round 0; the guard stops rounds recorded one by one
+        built = []
+
+        def guarded_state(*counts):
+            built.append(counts)
+            assert len(built) < 1000, "rounds are run before the record is allocated"
+            return RoundState(*counts)
+
+        monkeypatch.setattr("jurymech.dynamics.RoundState", guarded_state)
+        args = [
+            "simulate", "--threshold", "3", "--n", "10", "--rho", "0.5",
+            "--epsilon", "1", "--rounds", str(10**15),
+        ]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
+        assert built == []
+
     def test_payment_file_size_mismatch(self, tmp_path, capsys):
         table_path = tmp_path / "t.csv"
         write_payment_table(TabulatedPayment(3, (0.0, 1.0, 2.0)), str(table_path))
@@ -355,6 +375,15 @@ class TestSweep:
         assert built == []
         assert not out_dir.exists()
 
+    def test_seed_past_64_bits_rejected(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        args = ["sweep", "--preset", "fig1a-small", "--seed", str(2**64), "--out", str(out_dir)]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "master_seed" in err
+        assert not out_dir.exists()
+
     def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
         config_path = self.tiny_config(tmp_path)
         code, _, err = run(
@@ -411,15 +440,15 @@ class TestExitCodes:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "command, flags",
-        [
-            ("check-payment", ["--threshold", "3"]),
-            ("find-eq", ["--threshold", "3"]),
-            ("simulate", ["--threshold", "3", "--rho", "0.5", "--epsilon", "1", "--rounds", "1"]),
-            ("design", ["--target", "0.75", "--out", "out"]),
-        ],
-    )
+    # every command that reads --n, with the other flags it needs
+    JURY_SIZED = [
+        ("check-payment", ["--threshold", "3"]),
+        ("find-eq", ["--threshold", "3"]),
+        ("simulate", ["--threshold", "3", "--rho", "0.5", "--epsilon", "1", "--rounds", "1"]),
+        ("design", ["--target", "0.75", "--out", "out"]),
+    ]
+
+    @pytest.mark.parametrize("command, flags", JURY_SIZED)
     def test_jury_too_big_for_memory(self, command, flags, tmp_path, monkeypatch, capsys):
         # 10**17 floats are 711 PiB, past any address space, so the first
         # array of that length fails to allocate and nothing is allocated;
@@ -437,6 +466,15 @@ class TestExitCodes:
         code, out, err = run([command, *flags, "--n", str(10**17)], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags", JURY_SIZED)
+    def test_jury_size_past_an_array_index(self, command, flags, tmp_path, monkeypatch, capsys):
+        # 10**20 does not fit numpy's signed 64-bit sizes and indices
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([command, *flags, "--n", str(10**20)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_missing_payment_flag(self, capsys):

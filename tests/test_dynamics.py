@@ -21,6 +21,7 @@ from jurymech.dynamics import (
 )
 from jurymech._seeding import (
     PresetState,
+    _state,
     derive_seeds,
     preset_generators,
     sample_states,
@@ -415,6 +416,19 @@ class TestDeriveSeed:
         for seed, state in zip(seeds, states):
             expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
             assert np.array_equal(state, expected)
+
+    def test_state_mirrors_seed_sequence(self):
+        # a first part of one word and of two, followed by 0, 1 and 2 parts
+        for first in self.EDGE_SEEDS:
+            for rest in ([], [5], [0, 2**32 - 1]):
+                words = [np.array([r], dtype=np.uint32) for r in rest]
+                state = _state(np.array([first], dtype=np.uint64), *words, words=3)[0]
+                expected = np.random.SeedSequence([first, *rest]).generate_state(3, np.uint64)
+                assert np.array_equal(state, expected), (first, rest)
+        # a fifth entropy word would be mixed in after the 4-word pool
+        one = np.ones(1, dtype=np.uint32)
+        with pytest.raises(ValueError, match="at most 2"):
+            _state(np.ones(1, dtype=np.uint64), one, one, one, words=1)
 
     def test_generators_replay_default_rng(self):
         seeds = [3, 2**32 + 5, 2**64 - 1]

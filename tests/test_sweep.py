@@ -99,6 +99,7 @@ class TestSweepConfig:
             ("rounds", None),
             ("master_seed", 0.5),
             ("master_seed", -1),
+            ("master_seed", 2**64),
         ],
     )
     def test_ill_typed_values_rejected(self, field, value):
@@ -220,11 +221,6 @@ class TestRunSweep:
             master_seed=2**40 + 1,
         )
         assert batch_cells(grid.n, grid.samples) == 4
-        # a master seed of two SeedSequence words, and one of one word
-        for seeded in (grid, dataclasses.replace(grid, master_seed=7)):
-            assert seeded.cell_simulations() == [
-                seeded.cell_simulation(i, j) for i in range(3) for j in range(7)
-            ]
         serial = run_sweep(grid, threads=1)
         parallel = run_sweep(grid, threads=2)
         assert serial.grid.tobytes() == parallel.grid.tobytes()
@@ -233,6 +229,37 @@ class TestRunSweep:
             for i in range(3)
         ]
         assert serial.grid.tobytes() == np.array(cells).tobytes()
+
+    @pytest.mark.parametrize("master", [2**40 + 1, 7])
+    @pytest.mark.parametrize(
+        "axis, kind",
+        [
+            (Axis.REWARD_THRESHOLD, "threshold"),
+            (Axis.REWARD_AWARD_LOSS, "threshold"),
+            (Axis.INITIAL_EFFORT, "threshold"),
+            (Axis.INITIAL_EFFORT, "award-loss"),
+            (Axis.INITIAL_EFFORT, "table"),
+        ],
+    )
+    def test_cell_simulations_match_single_cells(self, axis, kind, master):
+        # every branch of the column plan, with a master seed of two
+        # SeedSequence words and one of one word
+        grid = SweepConfig(
+            axis=axis,
+            x_min=0.0,
+            x_max=5.0,
+            x_steps=7,
+            rho_steps=3,
+            n=100,
+            rounds=4,
+            samples=20,
+            payment_kind=kind,
+            payment_values=tuple(range(100)) if kind == "table" else None,
+            master_seed=master,
+        )
+        assert grid.cell_simulations() == [
+            grid.cell_simulation(i, j) for i in range(3) for j in range(7)
+        ]
 
     @pytest.fixture
     def serial_pool(self, monkeypatch):
