@@ -37,12 +37,11 @@ _SCAN_CELLS = 2**15
 # overflows however small the rate.  It scans u in [0, _SCAN_RANGE]
 # (qualities 1/2 to 1 - exp(-20)/2, none of which rounds to 1) at
 # _SCAN_POINTS points and bisects every sign change to a width of
-# _BISECT_WIDTH.  Roots closer than _MERGE_WIDTH are one root; a root must
-# have |g| <= _ROOT_TOL.  The efforts are the roots divided by the rate.
+# _BISECT_WIDTH; a root must have |g| <= _ROOT_TOL.  The efforts are the
+# roots divided by the rate.
 _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
 _BISECT_WIDTH = 1e-13
-_MERGE_WIDTH = 1e-9
 _ROOT_TOL = 1e-8
 _UNIT = EffortProfile(AgentKind.WELL_INFORMED)
 
@@ -331,10 +330,13 @@ def find_symmetric_equilibria(
     equilibrium of a homogeneous well-informed jury.
 
     Scans g = slope * advantage - 1 over unit-rate efforts u in [0, 20] for
-    sign changes and bisects every bracket at once; the scan and each
-    bisection step are one _scan_values pass.  Returns all roots found, as
-    efforts u / rate, largest first; empty when g stays negative (no payment
-    large enough to activate effort).
+    brackets and bisects them all at once; the scan and each bisection step
+    are one _scan_values pass.  A bracket is a grid cell whose end values
+    have strictly opposite signs, or a positive grid point where g is
+    exactly 0, kept as a bracket of width 0.  The brackets are disjoint, so
+    the roots come out distinct; they are returned as efforts u / rate,
+    largest first, and empty when g stays negative (no payment large enough
+    to activate effort).
     """
     if not profile.well_informed:
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
@@ -345,14 +347,15 @@ def find_symmetric_equilibria(
     log_choose = _log_choose(n)
     grid = np.linspace(0.0, _SCAN_RANGE, _SCAN_POINTS)
     values = _scan_values(rate, table, log_choose, grid)
-    brackets = np.flatnonzero(
-        ((values[:-1] == 0.0) & (grid[:-1] > 0.0)) | (values[:-1] * values[1:] < 0.0)
+    neg, pos = values < 0.0, values > 0.0
+    k = np.flatnonzero(
+        ((values[:-1] == 0.0) & (grid[:-1] > 0.0))
+        | (neg[:-1] & pos[1:])
+        | (pos[:-1] & neg[1:])
     )
-    on_grid = values[brackets] == 0.0
-    roots = grid[brackets[on_grid]].tolist()
-
-    k = brackets[~on_grid]
-    lo, hi, g_lo = grid[k], grid[k + 1], values[k]
+    # a grid zero is a bracket of width 0, which never enters the loop
+    lo, g_lo = grid[k], values[k]
+    hi = grid[k + (g_lo != 0.0)]
     while (active := np.flatnonzero(hi - lo > _BISECT_WIDTH)).size:
         mid = 0.5 * (lo[active] + hi[active])
         g_mid = _scan_values(rate, table, log_choose, mid)
@@ -365,12 +368,5 @@ def find_symmetric_equilibria(
         hi[active[right]] = mid[right]
     mid = 0.5 * (lo + hi)
     g_mid = _scan_values(rate, table, log_choose, mid)
-    roots += mid[np.abs(g_mid) <= _ROOT_TOL].tolist()
-
-    # Collapse near-duplicate brackets around the same root.
-    roots.sort(reverse=True)
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or abs(deduped[-1] - r) > _MERGE_WIDTH:
-            deduped.append(r)
-    return [r / rate for r in deduped]
+    # disjoint brackets in ascending order give distinct ascending roots
+    return (mid[np.abs(g_mid) <= _ROOT_TOL][::-1] / rate).tolist()

@@ -248,7 +248,14 @@ def vote_advantage(payment: PaymentFunction, n: int) -> np.ndarray:
     the gain when exactly m of the other n-1 jurors vote for the ground
     truth."""
     table = payment.value(n)
-    return table - table[::-1]
+    with np.errstate(over="ignore"):
+        advantage = table - table[::-1]
+    if not np.isfinite(advantage).all():
+        raise ValueError(
+            "vote advantage overflows: two payments differ by more than the"
+            " largest float"
+        )
+    return advantage
 
 
 def expected_vote_advantage(

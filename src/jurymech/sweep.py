@@ -76,8 +76,8 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.axis, str):
-            object.__setattr__(self, "axis", Axis(self.axis))
+        # a string axis ("reward-threshold") becomes the enum, or raises ValueError
+        object.__setattr__(self, "axis", Axis(self.axis))
         _check_int(
             x_steps=self.x_steps,
             rho_steps=self.rho_steps,

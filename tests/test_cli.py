@@ -23,7 +23,8 @@ def run_python(*args):
     """A fresh interpreter that imports the jurymech these tests import."""
     root = str(Path(jurymech.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    # the warning policy pytest applies in-process (pyproject filterwarnings)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
@@ -156,21 +157,23 @@ class TestDesign:
 
 class TestFindEq:
     def test_designed_payment_file(self, tmp_path, capsys):
-        # a designed table read back from its CSV, by find-eq and check-payment
-        code, _, _ = run(
-            ["design", "--n", "11", "--target", "0.75", "--out", str(tmp_path)], capsys
-        )
-        assert code == 0
-        table_path = str(tmp_path / "payments-n11-x0.75.csv")
-        code, out, _ = run(["find-eq", "--payment-file", table_path, "--n", "11"], capsys)
-        assert code == 0
-        assert "effort=0.693147" in out
-        code, out, _ = run(
-            ["check-payment", "--payment-file", table_path, "--n", "11"], capsys
-        )
-        assert code == 0
-        assert "simple condition: satisfied" in out
-        assert "monotone non-decreasing: yes" in out
+        # a designed table read back from its CSV, by find-eq and check-payment;
+        # at n = 1001 the payments reach 3e300: g * g would overflow in a sign test
+        for n, target, effort in [("11", "0.75", "0.693147"), ("1001", "0.501", "0.002002")]:
+            code, _, _ = run(
+                ["design", "--n", n, "--target", target, "--out", str(tmp_path)], capsys
+            )
+            assert code == 0
+            table_path = str(tmp_path / f"payments-n{n}-x{target}.csv")
+            code, out, _ = run(["find-eq", "--payment-file", table_path, "--n", n], capsys)
+            assert code == 0
+            assert f"effort={effort}" in out
+            code, out, _ = run(
+                ["check-payment", "--payment-file", table_path, "--n", n], capsys
+            )
+            assert code == 0
+            assert "simple condition: satisfied" in out
+            assert "monotone non-decreasing: yes" in out
 
     def test_roots_reported(self, capsys):
         code, out, _ = run(["find-eq", "--threshold", "3", "--n", "100"], capsys)
@@ -329,6 +332,8 @@ class TestSweep:
             ("epsilon", None),
             ("payment_values", 5),
             ("payment_values", [None]),
+            ("axis", 5),
+            ("axis", None),
         ],
     )
     def test_ill_typed_config_value_rejected(self, field, value, tmp_path, capsys):
@@ -346,7 +351,7 @@ class TestSweep:
         code, _, err = run(
             ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
         )
-        assert code == 1 and err.startswith("usage error:")
+        assert code == 1 and err.startswith("usage error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out_dir.exists()
 
@@ -504,6 +509,22 @@ class TestExitCodes:
         code, out, err = run(args, capsys)
         assert code == 1 and "usage error" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("find-eq", []),
+            ("check-payment", []),
+            ("simulate", ["--rho", "0.5", "--epsilon", "1", "--rounds", "1"]),
+        ],
+        ids=["find-eq", "check-payment", "simulate"],
+    )
+    def test_overflowing_vote_advantage(self, command, flags, capsys):
+        # -1.7e308 - 1.7e308 / 2 overflows; no answer comes from an inf or NaN g
+        args = [command, "--kleros", "1.7e308", "1.7e308", "--n", "3", *flags]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: vote advantage overflows") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args, flag",

@@ -528,9 +528,8 @@ def scalar_scan_roots(g, grid: np.ndarray, values: list[float], tol: float = 1e-
         lo, hi = grid[k], grid[k + 1]
         g_lo, g_hi = values[k], values[k + 1]
         if g_lo == 0.0 and lo > 0.0:
-            roots.append(float(lo))
-            continue
-        if g_lo * g_hi >= 0.0:
+            hi = lo  # a grid zero is a bracket of width 0
+        elif not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
             continue
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
@@ -545,12 +544,7 @@ def scalar_scan_roots(g, grid: np.ndarray, values: list[float], tol: float = 1e-
         root = float(0.5 * (lo + hi))
         if root > 0.0 and abs(g(root)) <= tol:
             roots.append(root)
-    roots.sort(reverse=True)
-    deduped = []
-    for r in roots:
-        if not deduped or abs(deduped[-1] - r) > 1e-9:
-            deduped.append(r)
-    return deduped
+    return roots[::-1]
 
 
 def assert_matches_scalar(values: np.ndarray, reference: list[float]) -> None:
@@ -626,6 +620,23 @@ class TestSymmetricScan:
         expected = scalar_scan_roots(g, grid, reference)
         assert len(roots) == len(expected)
         assert np.allclose(roots, expected, rtol=0.0, atol=1e-12)
+
+    def test_every_bracket_gives_its_own_root(self, monkeypatch):
+        grid = np.linspace(0.0, 20.0, 10_000)
+
+        def roots_of(g):
+            monkeypatch.setattr(jurymech.equilibrium, "_scan_values", lambda *a: g(a[-1]))
+            roots = find_symmetric_equilibria(WELL, ThresholdPayment(3.0), 100)
+            assert roots == scalar_scan_roots(g, grid, g(grid).tolist())
+            return roots
+
+        # two roots 2e-10 either side of grid point 5000, in adjacent cells
+        a, b = grid[5000] - 2e-10, grid[5000] + 2e-10
+        roots = roots_of(lambda u: (u - a) * (u - b))
+        assert roots == pytest.approx([b, a], rel=0.0, abs=1e-13)
+        # a grid zero is one root; the zero at u = 0 is none
+        assert roots_of(lambda u: u - grid[7000]) == [grid[7000]]
+        assert roots_of(lambda u: u) == []
 
     @pytest.mark.parametrize("n", [2, 11, 400])
     def test_weights_match_binomial_weights_bitwise(self, n):

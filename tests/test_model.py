@@ -253,6 +253,18 @@ class TestVoteAdvantage:
                 for m in range(n):
                     assert adv[m] == table[m] - table[n - 1 - m]
 
+    @pytest.mark.parametrize(
+        "payment, n",
+        [
+            (KlerosPayment(1.7e308, 1.7e308), 3),
+            (TabulatedPayment(2, (-1e308, 1e308)), 2),
+        ],
+        ids=["kleros", "table"],
+    )
+    def test_overflowing_advantage_rejected(self, payment, n):
+        with pytest.raises(ValueError, match="overflows"):
+            vote_advantage(payment, n)
+
 
 class TestExpectedAdvantage:
     def test_point_mass_reduces_to_single_count(self):
