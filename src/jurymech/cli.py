@@ -168,7 +168,7 @@ def _cmd_find_eq(args: argparse.Namespace) -> int:
         print("none found")
         return 0
     for root in roots:
-        print(f"effort={root:.6f} quality={profile.value(root):.6f}")
+        print(f"effort={root!r} quality={profile.value(root)!r}")
     return 0
 
 

@@ -36,13 +36,11 @@ _SCAN_CELLS = 2**15
 # whose curve the quality is 1 - exp(-u)/2 at any rate, so that no bound
 # overflows however small the rate.  It scans u in [0, _SCAN_RANGE]
 # (qualities 1/2 to 1 - exp(-20)/2, none of which rounds to 1) at
-# _SCAN_POINTS points and bisects every sign change to a width of
-# _BISECT_WIDTH; a root must have |g| <= _ROOT_TOL.  The efforts are the
-# roots divided by the rate.
+# _SCAN_POINTS points and bisects every sign change until the bracket's
+# midpoint rounds to one of its ends, which are then adjacent floats.  The
+# efforts are those midpoints divided by the rate.
 _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
-_BISECT_WIDTH = 1e-13
-_ROOT_TOL = 1e-8
 _UNIT = EffortProfile(AgentKind.WELL_INFORMED)
 
 
@@ -333,7 +331,9 @@ def find_symmetric_equilibria(
     brackets and bisects them all at once; the scan and each bisection step
     are one _scan_values pass.  A bracket is a grid cell whose end values
     have strictly opposite signs, or a positive grid point where g is
-    exactly 0, kept as a bracket of width 0.  The brackets are disjoint, so
+    exactly 0, kept as a bracket of width 0.  Each is bisected until its
+    midpoint rounds to one of its ends, so g changes sign between adjacent
+    floats there; that midpoint is the root.  The brackets are disjoint, so
     the roots come out distinct; they are returned as efforts u / rate,
     largest first, and empty when g stays negative (no payment large enough
     to activate effort).
@@ -356,17 +356,16 @@ def find_symmetric_equilibria(
     # a grid zero is a bracket of width 0, which never enters the loop
     lo, g_lo = grid[k], values[k]
     hi = grid[k + (g_lo != 0.0)]
-    while (active := np.flatnonzero(hi - lo > _BISECT_WIDTH)).size:
-        mid = 0.5 * (lo[active] + hi[active])
-        g_mid = _scan_values(rate, table, log_choose, mid)
+    mid = 0.5 * (lo + hi)
+    while (active := np.flatnonzero((lo < mid) & (mid < hi))).size:
+        g_mid = _scan_values(rate, table, log_choose, mid[active])
         # a midpoint with g exactly 0 closes its bracket there
         zero = g_mid == 0.0
         left = zero | ((g_lo[active] < 0.0) == (g_mid < 0.0))
         right = zero | ~left
-        lo[active[left]] = mid[left]
+        lo[active[left]] = mid[active[left]]
         g_lo[active[left]] = g_mid[left]
-        hi[active[right]] = mid[right]
-    mid = 0.5 * (lo + hi)
-    g_mid = _scan_values(rate, table, log_choose, mid)
+        hi[active[right]] = mid[active[right]]
+        mid = 0.5 * (lo + hi)
     # disjoint brackets in ascending order give distinct ascending roots
-    return (mid[np.abs(g_mid) <= _ROOT_TOL][::-1] / rate).tolist()
+    return (mid[::-1] / rate).tolist()

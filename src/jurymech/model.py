@@ -281,9 +281,8 @@ def expected_utility(
     """
     validate_pmf(pmf, n)
     weights = np.asarray(pmf, dtype=float)
-    table = payment.value(n)
-    pay_true = math.fsum(weights * table)
-    adv = math.fsum(weights * (table - table[::-1]))
+    pay_true = math.fsum(weights * payment.value(n))
+    adv = math.fsum(weights * vote_advantage(payment, n))
     f = profile.value(strategy.effort)
     b = strategy.fidelity
     return -strategy.effort + pay_true + (b * (2.0 * f - 1.0) - f) * adv

@@ -182,6 +182,20 @@ class TestFindEq:
         assert len(lines) >= 1
         assert all(line.startswith("effort=") for line in lines)
 
+    @pytest.mark.parametrize(
+        "threshold, low_root",
+        [("1e5", 2.5641961692969925e-06), ("1e6", 2.5641872920691904e-07)],
+    )
+    def test_steep_low_root_printed_in_full(self, threshold, low_root, capsys):
+        # six decimals printed the low root at 1e5 as 0.000003; at 1e6 the
+        # search used to drop it
+        code, out, _ = run(["find-eq", "--threshold", threshold, "--n", "100"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        effort = float(lines[-1].split()[0].removeprefix("effort="))
+        assert effort == pytest.approx(low_root, rel=1e-12, abs=0.0)
+
     def test_quality_rounding_to_one(self, capsys):
         # at rate 50 the signal quality is exactly 1.0 from effort ~0.736 on
         code, out, _ = run(

@@ -135,7 +135,7 @@ ROOT_CASES = [
         ("designed", design_payments(n, 0.8).payment),
     )
 ]
-ROOTS_SHA256 = "8a3cd6b8bd136bc2f866e445a063194741812991ecc7dd41bd726bbf95de0802"
+ROOTS_SHA256 = "202dfb5d434d046b652f36de2538a8c54c7730a774a8b4533931300028de868a"
 
 
 def test_symmetric_roots_at_rate_one():

@@ -365,6 +365,13 @@ class TestExpectedUtility:
                 four_branch_utility(curve, s, pay, pmf, n), abs=1e-10
             )
 
+    def test_overflowing_advantage_rejected(self):
+        # the advantage comes from vote_advantage, with its overflow check
+        with pytest.raises(ValueError, match="vote advantage overflows"):
+            expected_utility(
+                WELL, Strategy(0.5, 1.0), KlerosPayment(1.7e308, 1.7e308), point_mass(1, 3), 3
+            )
+
 
 class TestVoteProbability:
     def test_zero_effort(self):
