@@ -36,11 +36,13 @@ _SCAN_CELLS = 2**15
 # whose curve the quality is 1 - exp(-u)/2 at any rate, so that no bound
 # overflows however small the rate.  It scans u in [0, _SCAN_RANGE]
 # (qualities 1/2 to 1 - exp(-20)/2, none of which rounds to 1) at
-# _SCAN_POINTS points and bisects every sign change until the bracket's
-# midpoint rounds to one of its ends, which are then adjacent floats.  The
-# efforts are those midpoints divided by the rate.
+# _SCAN_POINTS points and bisects every sign change until the bracket's ends
+# are adjacent floats.  Its midpoint is a root if |g| <= _ROOT_TOL at both
+# ends (near quality 1/2 the computed g steps by ulps of 0.5, so a sign change
+# can be a jump); the efforts are the roots divided by the rate.
 _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
+_ROOT_TOL = 1e-8
 _UNIT = EffortProfile(AgentKind.WELL_INFORMED)
 
 
@@ -333,10 +335,10 @@ def find_symmetric_equilibria(
     have strictly opposite signs, or a positive grid point where g is
     exactly 0, kept as a bracket of width 0.  Each is bisected until its
     midpoint rounds to one of its ends, so g changes sign between adjacent
-    floats there; that midpoint is the root.  The brackets are disjoint, so
-    the roots come out distinct; they are returned as efforts u / rate,
-    largest first, and empty when g stays negative (no payment large enough
-    to activate effort).
+    floats there; the midpoint is the root if |g| <= _ROOT_TOL at both.  The
+    brackets are disjoint, so the roots come out distinct; they are returned
+    as efforts u / rate, largest first, and empty when g stays negative (no
+    payment large enough to activate effort).
     """
     if not profile.well_informed:
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
@@ -354,8 +356,8 @@ def find_symmetric_equilibria(
         | (pos[:-1] & neg[1:])
     )
     # a grid zero is a bracket of width 0, which never enters the loop
-    lo, g_lo = grid[k], values[k]
-    hi = grid[k + (g_lo != 0.0)]
+    j = k + (values[k] != 0.0)
+    lo, hi, g_lo, g_hi = grid[k], grid[j], values[k], values[j]
     mid = 0.5 * (lo + hi)
     while (active := np.flatnonzero((lo < mid) & (mid < hi))).size:
         g_mid = _scan_values(rate, table, log_choose, mid[active])
@@ -366,6 +368,8 @@ def find_symmetric_equilibria(
         lo[active[left]] = mid[active[left]]
         g_lo[active[left]] = g_mid[left]
         hi[active[right]] = mid[active[right]]
+        g_hi[active[right]] = g_mid[right]
         mid = 0.5 * (lo + hi)
     # disjoint brackets in ascending order give distinct ascending roots
-    return (mid[::-1] / rate).tolist()
+    found = np.maximum(np.abs(g_lo), np.abs(g_hi)) <= _ROOT_TOL
+    return (mid[found][::-1] / rate).tolist()

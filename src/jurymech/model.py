@@ -279,10 +279,8 @@ def expected_utility(
     payment, plus a correction proportional to the expected vote advantage
     that accounts for the juror's actual signal quality and fidelity.
     """
-    validate_pmf(pmf, n)
-    weights = np.asarray(pmf, dtype=float)
-    pay_true = math.fsum(weights * payment.value(n))
-    adv = math.fsum(weights * vote_advantage(payment, n))
+    adv = expected_vote_advantage(payment, pmf, n)
+    pay_true = math.fsum(np.asarray(pmf, dtype=float) * payment.value(n))
     f = profile.value(strategy.effort)
     b = strategy.fidelity
     return -strategy.effort + pay_true + (b * (2.0 * f - 1.0) - f) * adv

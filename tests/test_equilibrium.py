@@ -501,8 +501,16 @@ class TestSymmetricEquilibria:
             profile = uniform_profile(100, root, 1.0)
             assert verify_equilibrium(profile, payment, tol=1e-8).is_equilibrium
 
+    @pytest.mark.parametrize("threshold", [1e8, 1e10, 1e14, 1e15, 1e16, 1e30])
+    def test_every_root_of_a_huge_threshold_is_an_equilibrium(self, threshold):
+        # near quality 1/2 the computed g steps by whole ulps of 0.5, so a
+        # sign change there can be a jump that no effort solves
+        payment = ThresholdPayment(threshold)
+        for root in find_symmetric_equilibria(WELL, payment, 100):
+            profile = uniform_profile(100, root, 1.0)
+            assert verify_equilibrium(profile, payment, tol=1e-8).is_equilibrium
+
     @pytest.mark.xfail(
-        strict=True,
         reason="a pair of roots born at a tangency, 0.0008 apart, lies inside one"
         " scan cell whose ends have the same sign, so no bracket holds them",
     )
@@ -547,27 +555,30 @@ def scalar_g(profile: EffortProfile, table: np.ndarray):
     return g
 
 
-def scalar_scan_roots(g, grid: np.ndarray, values: list[float]):
+def scalar_scan_roots(g, grid: np.ndarray, values: list[float], tol: float = 1e-8):
     """The root finder's bracketing and bisection over scalar scan values:
-    each bracket is bisected until its midpoint rounds to one of its ends."""
+    each bracket is bisected until its midpoint rounds to one of its ends,
+    and that midpoint is a root when |g| <= tol at both ends."""
     roots = []
     for k in range(len(grid) - 1):
         lo, hi = grid[k], grid[k + 1]
         g_lo, g_hi = values[k], values[k + 1]
         if g_lo == 0.0 and lo > 0.0:
-            hi = lo  # a grid zero is a bracket of width 0
+            hi, g_hi = lo, g_lo  # a grid zero is a bracket of width 0
         elif not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
             continue
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             g_mid = g(mid)
             if g_mid == 0.0:
                 lo = hi = mid
+                g_lo = g_hi = g_mid
                 break
             if (g_lo < 0.0) == (g_mid < 0.0):
                 lo, g_lo = mid, g_mid
             else:
-                hi = mid
-        roots.append(float(0.5 * (lo + hi)))
+                hi, g_hi = mid, g_mid
+        if max(abs(g_lo), abs(g_hi)) <= tol:
+            roots.append(float(0.5 * (lo + hi)))
     return roots[::-1]
 
 
@@ -661,6 +672,16 @@ class TestSymmetricScan:
         # a grid zero is one root; the zero at u = 0 is none
         assert roots_of(lambda u: u - grid[7000]) == [grid[7000]]
         assert roots_of(lambda u: u) == []
+
+        # a sign change is a jump, not a root, if |g| > 1e-8 on either side
+        c = grid[5000] + 1e-4
+
+        def step(below, above):
+            return lambda u: np.where(u < c, below, above)
+
+        for below, above in ((-1.0, 1.0), (-1e-9, 1.0), (-1.0, 1e-9)):
+            assert roots_of(step(below, above)) == []
+        assert roots_of(step(-1e-9, 1e-9)) == pytest.approx([c], rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 11, 400])
     def test_weights_match_binomial_weights_bitwise(self, n):
