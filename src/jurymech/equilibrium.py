@@ -37,12 +37,11 @@ _SCAN_CELLS = 2**15
 # overflows however small the rate.  It scans u in [0, _SCAN_RANGE]
 # (qualities 1/2 to 1 - exp(-20)/2, none of which rounds to 1) at
 # _SCAN_POINTS points and bisects every sign change until the bracket's ends
-# are adjacent floats.  Its midpoint is a root if |g| <= _ROOT_TOL at both
-# ends (near quality 1/2 the computed g steps by ulps of 0.5, so a sign change
-# can be a jump); the efforts are the roots divided by the rate.
+# are adjacent floats.  Its midpoint, divided by the rate, is a root only if
+# verify_equilibrium accepts it (near quality 1/2 the computed g steps by
+# ulps of 0.5, so a sign change can be a jump that no effort solves).
 _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
-_ROOT_TOL = 1e-8
 _UNIT = EffortProfile(AgentKind.WELL_INFORMED)
 
 
@@ -335,10 +334,11 @@ def find_symmetric_equilibria(
     have strictly opposite signs, or a positive grid point where g is
     exactly 0, kept as a bracket of width 0.  Each is bisected until its
     midpoint rounds to one of its ends, so g changes sign between adjacent
-    floats there; the midpoint is the root if |g| <= _ROOT_TOL at both.  The
-    brackets are disjoint, so the roots come out distinct; they are returned
-    as efforts u / rate, largest first, and empty when g stays negative (no
-    payment large enough to activate effort).
+    floats there; the effort midpoint / rate is a root only if
+    verify_equilibrium accepts everyone playing it.  The brackets are
+    disjoint, so the roots are distinct; they are returned largest first,
+    and empty when g stays negative (no payment large enough to activate
+    effort).
     """
     if not profile.well_informed:
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
@@ -357,19 +357,19 @@ def find_symmetric_equilibria(
     )
     # a grid zero is a bracket of width 0, which never enters the loop
     j = k + (values[k] != 0.0)
-    lo, hi, g_lo, g_hi = grid[k], grid[j], values[k], values[j]
+    # lo only moves to midpoints of its own sign, so that sign is all it keeps
+    lo, hi, lo_neg = grid[k], grid[j], neg[k]
     mid = 0.5 * (lo + hi)
     while (active := np.flatnonzero((lo < mid) & (mid < hi))).size:
         g_mid = _scan_values(rate, table, log_choose, mid[active])
         # a midpoint with g exactly 0 closes its bracket there
         zero = g_mid == 0.0
-        left = zero | ((g_lo[active] < 0.0) == (g_mid < 0.0))
+        left = zero | (lo_neg[active] == (g_mid < 0.0))
         right = zero | ~left
         lo[active[left]] = mid[active[left]]
-        g_lo[active[left]] = g_mid[left]
         hi[active[right]] = mid[active[right]]
-        g_hi[active[right]] = g_mid[right]
         mid = 0.5 * (lo + hi)
     # disjoint brackets in ascending order give distinct ascending roots
-    found = np.maximum(np.abs(g_lo), np.abs(g_hi)) <= _ROOT_TOL
-    return (mid[found][::-1] / rate).tolist()
+    efforts = (mid[::-1] / rate).tolist()
+    plays = (StrategyProfile(((profile, Strategy(e, 1.0)),) * n) for e in efforts)
+    return [e for e, p in zip(efforts, plays) if verify_equilibrium(p, payment).is_equilibrium]

@@ -184,11 +184,15 @@ class TestFindEq:
 
     @pytest.mark.parametrize(
         "threshold, low_root",
-        [("1e5", 2.5641961692969925e-06), ("1e6", 2.5641872920691904e-07)],
+        [
+            ("1e5", 2.5641961692969925e-06),
+            ("1e6", 2.5641872920691904e-07),
+            ("8265958.738801813", 3.1021040606686445e-08),
+        ],
     )
     def test_steep_low_root_printed_in_full(self, threshold, low_root, capsys):
-        # six decimals printed the low root at 1e5 as 0.000003; at 1e6 the
-        # search used to drop it
+        # six decimals printed the low root at 1e5 as 0.000003; at 1e6 and
+        # 8265958.7 the search used to drop it
         code, out, _ = run(["find-eq", "--threshold", threshold, "--n", "100"], capsys)
         assert code == 0
         lines = out.strip().splitlines()

@@ -325,6 +325,32 @@ class TestCorrectnessEstimate:
         with pytest.raises(ValueError, match="samples"):
             correctness_estimate(config(n=5, rounds=2), samples)
 
+    @pytest.mark.xfail(reason="correctness_estimates runs any number of rounds, unbounded")
+    def test_unbounded_rounds_fail_fast(self, monkeypatch):
+        # With a one-double draw buffer every round refills it, one random()
+        # call per generator, so the 1000th call stops a run that would not end.
+        calls = 0
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+
+            def random(self, *args, **kwargs):
+                nonlocal calls
+                calls += 1
+                if calls >= 1000:
+                    pytest.fail("1000 draw calls without a bound on the rounds")
+                return self.rng.random(*args, **kwargs)
+
+        preset = _seeding.preset_generators
+        monkeypatch.setattr(
+            _seeding, "preset_generators", lambda states: list(map(Counted, preset(states)))
+        )
+        monkeypatch.setattr(dynamics, "_DRAW_BUFFER", 1)
+        cfg = config(n=10, payment=ThresholdPayment(3.0), rounds=10**15)
+        with pytest.raises((ValueError, MemoryError)):
+            correctness_estimates([cfg], 2)
+
 
 def binomial_pmf(trials: int, p: float) -> np.ndarray:
     """PMF of Bin(trials, p) over 0..trials, from math.comb."""
