@@ -151,7 +151,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
     )
     profile = EffortProfile(AgentKind.WELL_INFORMED, args.rate)
     design = design_payments(args.n, args.target, profile, options)
-    path = _out_dir(args) / f"payments-n{args.n}-x{args.target:g}.csv"
+    path = _out_dir(args) / f"payments-n{args.n}-x{args.target!r}.csv"
     write_payment_table(design.payment, str(path))
     print(f"wrote {path}")
     print(f"equilibrium effort: {design.equilibrium_effort:.6f}")

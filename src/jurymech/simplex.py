@@ -10,9 +10,10 @@ are split into positive and negative parts, surplus variables turn the
 inequality rows into equalities, and phase one drives a full artificial
 basis to zero before phase two optimizes the real objective.  The tableau
 is written straight into one preallocated array of the real columns and
-the rhs; the artificial columns are never stored, because no artificial
-can re-enter the basis and phase two has no use for them.  Phase two works
-on the same array, copied only to drop redundant rows.
+the rhs, with the reduced costs as its last row, which each pivot updates
+with the other rows.  The artificial columns are never stored, because no
+artificial can re-enter the basis and phase two has no use for them.
+Phase two works on the same array, copied only to drop redundant rows.
 
 Bland's smallest-index pivot rule is used in both phases, so the method
 terminates on degenerate problems.  A pivot updates only the rows with a
@@ -63,7 +64,7 @@ class _Budget:
             raise PivotLimitError("simplex pivot budget exhausted")
 
 
-def _pivot(tableau: np.ndarray, zrow: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
@@ -72,13 +73,11 @@ def _pivot(tableau: np.ndarray, zrow: np.ndarray, basis: np.ndarray, row: int, c
     rows = np.flatnonzero(factor)
     cols = np.flatnonzero(tableau[row])
     tableau[np.ix_(rows, cols)] -= np.outer(factor[rows], tableau[row, cols])
-    zrow -= zrow[col] * tableau[row]
     basis[row] = col
 
 
 def _iterate(
     tableau: np.ndarray,
-    zrow: np.ndarray,
     basis: np.ndarray,
     num_cols: int,
     budget: _Budget,
@@ -86,11 +85,11 @@ def _iterate(
     """Run simplex iterations until no reduced cost improves (OPTIMAL for the
     current objective) or an improving ray is found (UNBOUNDED)."""
     while True:
-        improving = np.flatnonzero(zrow[:num_cols] < -_COST_TOL)
+        improving = np.flatnonzero(tableau[-1, :num_cols] < -_COST_TOL)
         if improving.size == 0:
             return SolveStatus.OPTIMAL
         entering = int(improving[0])  # Bland: smallest improving index
-        column = tableau[:, entering]
+        column = tableau[:-1, entering]
         candidates = np.nonzero(column > _PIVOT_TOL)[0]
         if candidates.size == 0:
             return SolveStatus.UNBOUNDED
@@ -101,7 +100,7 @@ def _iterate(
         tied = candidates[ratios <= best + 1e-15]
         leaving = tied[np.argmin(basis[tied])]
         budget.spend()
-        _pivot(tableau, zrow, basis, int(leaving), entering)
+        _pivot(tableau, basis, int(leaving), entering)
 
 
 def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
@@ -114,59 +113,58 @@ def solve(lp: LinearProgram, max_pivots: int = 1_000_000) -> Solution:
     m = num_ge + lp.eq_matrix.shape[0]
     num_free = int(free.sum())
     # Columns: shifted originals, negative parts of free vars, surplus vars,
-    # then the rhs, all written into one array.  The artificial columns are
-    # never stored: _iterate scans only the real ones, so no artificial
-    # re-enters the basis.
+    # then the rhs, all written into one array; rows: the m constraints,
+    # then the reduced costs.  The artificial columns are never stored:
+    # _iterate scans only the real ones, so no artificial re-enters the basis.
     num_real = n + num_free + num_ge
-    tableau = np.zeros((m, num_real + 1))
+    tableau = np.zeros((m + 1, num_real + 1))
     tableau[:num_ge, :n] = lp.ge_matrix
-    tableau[num_ge:, :n] = lp.eq_matrix
-    rhs = np.concatenate([lp.ge_rhs, lp.eq_rhs]) - tableau[:, :n] @ shift
-    np.negative(tableau[:, :n][:, free], out=tableau[:, n : n + num_free])
+    tableau[num_ge:m, :n] = lp.eq_matrix
+    rhs = np.concatenate([lp.ge_rhs, lp.eq_rhs]) - tableau[:m, :n] @ shift
+    np.negative(tableau[:m, :n][:, free], out=tableau[:m, n : n + num_free])
     np.fill_diagonal(tableau[:num_ge, n + num_free : num_real], -1.0)
-    costs = np.concatenate([lp.objective, -lp.objective[free], np.zeros(num_ge)])
+    costs = np.concatenate([lp.objective, -lp.objective[free], np.zeros(num_ge + 1)])
 
     flip = rhs < 0.0
-    tableau[flip, :num_real] *= -1.0
-    tableau[:, -1] = np.abs(rhs)
+    tableau[:m][flip, :num_real] *= -1.0
+    tableau[:m, -1] = np.abs(rhs)
 
     budget = _Budget(max_pivots)
 
     # Phase one: artificial basis (labels num_real.., no columns), minimize
     # its total size.
     basis = np.arange(num_real, num_real + m)
-    zrow = np.zeros(num_real + 1)
     for r in range(m):
-        zrow -= tableau[r]
-    status = _iterate(tableau, zrow, basis, num_real, budget)
-    if status is not SolveStatus.OPTIMAL or -zrow[-1] > _FEAS_TOL:
+        tableau[-1] -= tableau[r]
+    status = _iterate(tableau, basis, num_real, budget)
+    if status is not SolveStatus.OPTIMAL or -tableau[-1, -1] > _FEAS_TOL:
         return Solution(SolveStatus.INFEASIBLE, None, float("nan"))
 
     # Drive leftover artificials out of the (degenerate) basis.
-    keep_rows = np.ones(m, dtype=bool)
+    keep_rows = np.ones(m + 1, dtype=bool)
     for r in range(m):
         if basis[r] < num_real:
             continue
         pivots = np.nonzero(np.abs(tableau[r, :num_real]) > _PIVOT_TOL)[0]
         if pivots.size:
             budget.spend()
-            _pivot(tableau, zrow, basis, r, int(pivots[0]))
+            _pivot(tableau, basis, r, int(pivots[0]))
         else:
             keep_rows[r] = False  # redundant constraint
     if not keep_rows.all():
         tableau = tableau[keep_rows]
-        basis = basis[keep_rows]
+        basis = basis[keep_rows[:-1]]
 
     # Phase two: the real objective over the feasible basis found above.
-    zrow = np.concatenate([costs, [0.0]])
+    tableau[-1] = costs
     for r, bv in enumerate(basis):
-        zrow -= costs[bv] * tableau[r]
-    status = _iterate(tableau, zrow, basis, num_real, budget)
+        tableau[-1] -= costs[bv] * tableau[r]
+    status = _iterate(tableau, basis, num_real, budget)
     if status is SolveStatus.UNBOUNDED:
         return Solution(SolveStatus.UNBOUNDED, None, float("nan"))
 
     extended = np.zeros(num_real)
-    extended[basis] = np.maximum(tableau[:, -1], 0.0)
+    extended[basis] = np.maximum(tableau[:-1, -1], 0.0)
     values = shift + extended[:n]
     values[free] -= extended[n : n + num_free]
 

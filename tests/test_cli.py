@@ -93,6 +93,18 @@ class TestDesign:
         table = read_payment_table(str(path))
         assert table.jury_size == 11
 
+    def test_file_name_is_the_exact_target(self, tmp_path, capsys):
+        # rounded to 6 significant digits, these would write "x1" and "x0.75"
+        targets = ["0.75", "0.75000001", "0.9999999"]
+        for target in targets:
+            code, out, _ = run(
+                ["design", "--n", "11", "--target", target, "--out", str(tmp_path)], capsys
+            )
+            assert code == 0
+            assert f"payments-n11-x{target}.csv" in out
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == [f"payments-n11-x{target}.csv" for target in targets]
+
     @pytest.mark.parametrize(
         "flags,cost",
         [

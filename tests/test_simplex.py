@@ -150,13 +150,12 @@ def test_dimension_validation():
         lp([np.nan])
 
 
-def _dense_pivot(tableau, zrow, basis, row, col):
-    # Reference: the full rank-1 update of every tableau cell.
+def _dense_pivot(tableau, basis, row, col):
+    # Reference: the full rank-1 update of every tableau cell, the cost row too.
     tableau[row] /= tableau[row, col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
     tableau -= np.outer(factor, tableau[row])
-    zrow -= zrow[col] * tableau[row]
     basis[row] = col
 
 
@@ -173,23 +172,21 @@ def test_sparse_pivot_matches_dense_update(shape):
             tableau[:, col] = np.where(np.arange(m) == row, tableau[row, col], 0.0)
         elif shape == "lone_row":  # no other column needs updating
             tableau[row] = np.where(np.arange(k) == col, tableau[row, col], 0.0)
-        zrow = rng.uniform(-1.0, 1.0, size=k)
         basis = rng.integers(0, k, size=m)
 
-        want = (tableau.copy(), zrow.copy(), basis.copy())
+        want = (tableau.copy(), basis.copy())
         _dense_pivot(*want, row, col)
-        _pivot(tableau, zrow, basis, row, col)
+        _pivot(tableau, basis, row, col)
         assert np.array_equal(tableau, want[0])
-        assert np.array_equal(zrow, want[1])
-        assert np.array_equal(basis, want[2])
+        assert np.array_equal(basis, want[1])
 
 
 def test_tableau_memory_is_bounded():
-    # The tableau is one (202, 403) array of the real columns and the rhs,
-    # about 0.65 MB, which phase two reuses in place; the solve peaks at
-    # about 1.48 MB.  With the 202 artificial columns stored and a phase-two
-    # copy it peaked at 2.12 MB; assembled from stacked blocks and identity
-    # matrices, at about 4.3 MB.
+    # The tableau is one (203, 403) array of the real columns and the rhs,
+    # its last row the reduced costs, about 0.65 MB, which phase two reuses
+    # in place; the solve peaks at about 1.15 MB.  With the 202 artificial
+    # columns stored and a phase-two copy it peaked at 2.12 MB; assembled
+    # from stacked blocks and identity matrices, at about 4.3 MB.
     options = DesignOptions(individual_rationality=True)
     tracemalloc.start()
     try:
