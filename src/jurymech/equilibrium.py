@@ -11,6 +11,7 @@ for symmetric equilibria of homogeneous well-informed juries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,9 +67,9 @@ def poisson_binomial_pmf(probabilities: Sequence[float]) -> np.ndarray:
 
 
 def _log_choose(n: int) -> np.ndarray:
-    """log C(n-1, t) for t = 0..n-1, from lgamma."""
-    terms = (math.lgamma(k + 1) + math.lgamma(n - k) for k in range(n))
-    return math.lgamma(n) - np.fromiter(terms, float, count=n)
+    """log C(n-1, t) for t = 0..n-1, from the log-factorials lf[k] = log k!."""
+    lf = np.fromiter(map(math.lgamma, range(1, n + 1)), float, count=n)
+    return lf[-1] - (lf + lf[::-1])
 
 
 def _binomial_rows(
@@ -270,18 +271,22 @@ def mirror(profile: StrategyProfile) -> StrategyProfile:
 
 
 def satisfies_simple_condition(payment: PaymentFunction, n: int) -> bool:
-    """Sufficient payment condition for all equilibria to be simple:
-    the vote advantage must be non-decreasing in the others' count."""
+    """Sufficient payment condition for all equilibria to be simple: the vote
+    advantage must be non-decreasing in the others' count.  Exact, with no
+    tolerance to depend on the unit of payment: rounding is monotone, so a
+    nondecreasing table p gives fl(p[m+1] - p[n-2-m]) >= fl(p[m] - p[n-1-m]),
+    and fl(y - x) == -fl(x - y) keeps the advantage antisymmetric bit for bit."""
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
-    return bool(np.all(np.diff(vote_advantage(payment, n)) >= -1e-12))
+    return bool(np.all(np.diff(vote_advantage(payment, n)) >= 0.0))
 
 
 def is_monotone_nondecreasing(payment: PaymentFunction, n: int) -> bool:
-    """Whether payments never drop as the same-vote count grows."""
+    """Whether payments never drop as the same-vote count grows.  Exact, with
+    no tolerance: a rounded difference has the sign of the true one."""
     if n < 2:
         raise ValueError(f"need a jury of at least 2, got n={n}")
-    return bool(np.all(np.diff(payment.value(n)) >= -1e-12))
+    return bool(np.all(np.diff(payment.value(operator.index(n))) >= 0.0))
 
 
 def is_simple_profile(profile: StrategyProfile) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -247,7 +248,7 @@ def vote_advantage(payment: PaymentFunction, n: int) -> np.ndarray:
     """Payment gain of a ground-truth vote over the opposite vote; entry m is
     the gain when exactly m of the other n-1 jurors vote for the ground
     truth."""
-    table = payment.value(n)
+    table = payment.value(operator.index(n))
     with np.errstate(over="ignore"):
         advantage = table - table[::-1]
     if not np.isfinite(advantage).all():

@@ -109,7 +109,7 @@ def test_criterion_1_equilibrium_structure():
             adv = vote_advantage(payment, n)
             for m in range(n):
                 gap = adv[m] + adv[n - 1 - m]
-                antisym_ok &= abs(gap) <= 1e-12
+                antisym_ok &= gap == 0.0
 
     _gate(
         "criterion 1: equilibrium structure",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -434,7 +435,7 @@ class TestSimpleCondition:
             table = TabulatedPayment(n, tuple(rng.uniform(-2.0, 2.0, size=n)))
             adv = vote_advantage(table, n)
             gaps = [adv[m + 1] - adv[m] for m in range(n - 1)]
-            assert satisfies_simple_condition(table, n) == all(g >= -2e-12 for g in gaps)
+            assert satisfies_simple_condition(table, n) == all(g >= 0.0 for g in gaps)
 
 
 class TestMonotonicity:
@@ -451,6 +452,39 @@ class TestMonotonicity:
             table = TabulatedPayment(n, tuple(values))
             assert is_monotone_nondecreasing(table, n)
             assert satisfies_simple_condition(table, n)
+        # magnitudes from 1e-300 to 1e300 of both signs, with repeated values:
+        # rounding is monotone, so no slack is needed at any scale
+        for _ in range(100):
+            n = int(rng.integers(2, 16))
+            pool = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+            table = TabulatedPayment(n, tuple(np.sort(rng.choice(pool, size=n))))
+            assert is_monotone_nondecreasing(table, n)
+            assert satisfies_simple_condition(table, n)
+
+
+def test_predicates_do_not_depend_on_the_unit_of_payment():
+    # Both conditions are properties of the table, so scaling every payment
+    # by a positive factor keeps the answer it has at scale 1.  A -1e-12
+    # slack let AwardLossSharingPayment(1e-13) at n = 100 and
+    # KlerosPayment(1e-14, 2e-14) at n = 2 and 10 pass both.
+    bases = [
+        (KlerosPayment, (1.0, 2.0)),
+        (KlerosPayment, (3.0, 5.0)),
+        (AwardLossSharingPayment, (1.0,)),
+        (ThresholdPayment, (3.0,)),
+    ]
+    for (kind, base), n in itertools.product(bases, (2, 3, 10, 11, 100)):
+        want = (
+            satisfies_simple_condition(kind(*base), n),
+            is_monotone_nondecreasing(kind(*base), n),
+        )
+        for scale in [1e-14, 1e-13] + [10.0**e for e in range(-300, 301, 50)]:
+            payment = kind(*(scale * v for v in base))
+            got = (
+                satisfies_simple_condition(payment, n),
+                is_monotone_nondecreasing(payment, n),
+            )
+            assert got == want, (kind.__name__, base, n, scale)
 
 
 class TestSimpleProfile:
@@ -551,6 +585,19 @@ class TestSymmetricEquilibria:
 def test_jury_of_fewer_than_two_rejected(check, n):
     with pytest.raises(ValueError, match="at least 2"):
         check(ThresholdPayment(3.0), n)
+
+
+def test_jury_size_must_be_an_integer():
+    # np.arange would take a float size and build a table of the wrong length
+    with pytest.raises(TypeError):
+        satisfies_simple_condition(ThresholdPayment(3.0), 2.5)
+    with pytest.raises(TypeError):
+        is_monotone_nondecreasing(ThresholdPayment(3.0), 2.5)
+    with pytest.raises(TypeError):
+        vote_advantage(ThresholdPayment(3.0), 3.5)
+    for payment in (ThresholdPayment(3.0), KlerosPayment(1.0, 2.0)):
+        for check in (satisfies_simple_condition, is_monotone_nondecreasing):
+            assert check(payment, np.int64(10)) == check(payment, 10)
 
 
 def scalar_g(profile: EffortProfile, table: np.ndarray):
