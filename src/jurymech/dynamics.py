@@ -50,7 +50,6 @@ bit for bit.  simulate() records every round, so it always steps.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -62,7 +61,8 @@ from .model import (
     EffortProfile,
     PaymentFunction,
     Strategy,
-    _check_int,
+    _count,
+    _real,
     vote_advantage,
     vote_probability,
 )
@@ -97,18 +97,13 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_int(n=self.n, rounds=self.rounds, seed=self.seed)
-        if self.n < 1:
-            raise ValueError(f"jury size must be >= 1, got {self.n}")
-        if not 0.0 <= self.rho <= 1.0:
+        for name, least in (("n", 1), ("rounds", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
+        if not 0.0 <= _real("rho", self.rho) <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(
-                f"epsilon must be finite and non-negative, got {self.epsilon}"
-            )
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0 <= self.seed < _SEED_LIMIT:
+        if _real("epsilon", self.epsilon) < 0.0:
+            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not self.seed < _SEED_LIMIT:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -274,9 +269,7 @@ def correctness_estimates(
     The configs run in consecutive batches of batch_cells(n, samples), with
     the response rows and seed groups set up as the module docstring says.
     """
-    _check_int(samples=samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _count("samples", samples, 1)
     if not configs:
         raise ValueError("need at least one config")
     n, rounds = configs[0].n, configs[0].rounds

@@ -11,7 +11,6 @@ for symmetric equilibria of homogeneous well-informed juries.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +22,8 @@ from .model import (
     PaymentFunction,
     Strategy,
     StrategyProfile,
+    _count,
+    _real,
     expected_vote_advantage,
     vote_advantage,
     vote_probability,
@@ -96,8 +97,7 @@ def binomial_weights(n: int, x: float) -> np.ndarray:
     Computed in log space and exponentiated, so large juries and extreme x
     do not overflow the binomial coefficients.
     """
-    if n < 2:
-        raise ValueError(f"need a jury of at least 2, got n={n}")
+    n = _count("n", n, 2)
     if not 0.0 < x < 1.0:
         raise ValueError(f"vote probability must lie in (0, 1), got {x}")
     return _binomial_rows([x], _log_choose(n), np.empty((2, 1, n)))[0]
@@ -183,7 +183,7 @@ def best_response(profile: EffortProfile, advantage: float) -> BestResponse:
     marginal signal gain exactly offsets the marginal cost, and the juror
     either trusts her signal fully or inverts it fully.
     """
-    drive = profile.derivative(0.0) * advantage
+    drive = profile.derivative(0.0) * _real("advantage", advantage)
     if abs(drive) <= 1.0:
         return BestResponse(0.0, None)
     # two logs, because rate * |advantage| can overflow where neither does
@@ -234,8 +234,8 @@ def verify_equilibrium(
     costs O(n^2) and the worst case O(n^3); the results are bit for bit those
     of the per-agent computation.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not _real("tol", tol) > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     n = profile.size
     probs = [vote_probability(e, s) for e, s in profile.agents]
     _check_probabilities(probs)
@@ -276,17 +276,13 @@ def satisfies_simple_condition(payment: PaymentFunction, n: int) -> bool:
     tolerance to depend on the unit of payment: rounding is monotone, so a
     nondecreasing table p gives fl(p[m+1] - p[n-2-m]) >= fl(p[m] - p[n-1-m]),
     and fl(y - x) == -fl(x - y) keeps the advantage antisymmetric bit for bit."""
-    if n < 2:
-        raise ValueError(f"need a jury of at least 2, got n={n}")
-    return bool(np.all(np.diff(vote_advantage(payment, n)) >= 0.0))
+    return bool(np.all(np.diff(vote_advantage(payment, _count("n", n, 2))) >= 0.0))
 
 
 def is_monotone_nondecreasing(payment: PaymentFunction, n: int) -> bool:
     """Whether payments never drop as the same-vote count grows.  Exact, with
     no tolerance: a rounded difference has the sign of the true one."""
-    if n < 2:
-        raise ValueError(f"need a jury of at least 2, got n={n}")
-    return bool(np.all(np.diff(payment.value(operator.index(n))) >= 0.0))
+    return bool(np.all(np.diff(payment.value(_count("n", n, 2))) >= 0.0))
 
 
 def is_simple_profile(profile: StrategyProfile) -> bool:
@@ -347,8 +343,7 @@ def find_symmetric_equilibria(
     """
     if not profile.well_informed:
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
-    if n < 2:
-        raise ValueError(f"need a jury of at least 2, got n={n}")
+    n = _count("n", n, 2)
     rate = profile.rate
     table = vote_advantage(payment, n)
     log_choose = _log_choose(n)

@@ -25,6 +25,34 @@ from typing import Sequence
 import numpy as np
 
 
+def _count(name: str, value: object, least: int) -> int:
+    """The count rule, for jury sizes, rounds, samples, seeds and grid steps:
+    any integer type that ``operator.index`` takes (numpy's too), but not bool,
+    of at least ``least``, returned as a plain int."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if isinstance(value, bool) or count is None or count < least:
+        raise ValueError(
+            f"{name} must be a count of at least {least} (an integer >= {least}),"
+            f" got {value!r}"
+        )
+    return count
+
+
+def _real(name: str, value: object) -> float:
+    """The real rule, for payments, efforts, fractions and tolerances: a
+    finite ``numbers.Real`` but not bool, returned as a float."""
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 class AgentKind(Enum):
     """Whether extra effort improves or degrades a juror's signal."""
 
@@ -47,8 +75,8 @@ class EffortProfile:
     def __post_init__(self) -> None:
         # a string kind ("well-informed") becomes the enum, or raises ValueError
         object.__setattr__(self, "kind", AgentKind(self.kind))
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"rate must be finite and positive, got {self.rate}")
+        if not _real("rate", self.rate) > 0.0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
 
     @property
     def well_informed(self) -> bool:
@@ -56,14 +84,14 @@ class EffortProfile:
 
     def value(self, effort: float) -> float:
         """Probability of receiving the ground truth at the given effort."""
-        if effort < 0.0:
+        if not effort >= 0.0:  # NaN fails too
             raise ValueError(f"effort must be non-negative, got {effort}")
         half = math.exp(-self.rate * effort) / 2.0
         return 1.0 - half if self.well_informed else half
 
     def derivative(self, effort: float) -> float:
         """Slope of the signal-quality curve (negative for misinformed)."""
-        if effort < 0.0:
+        if not effort >= 0.0:  # NaN fails too
             raise ValueError(f"effort must be non-negative, got {effort}")
         slope = self.rate * math.exp(-self.rate * effort) / 2.0
         return slope if self.well_informed else -slope
@@ -100,20 +128,6 @@ class PaymentFunction:
         raise NotImplementedError
 
 
-def _check_finite(**params: float) -> None:
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _check_int(**params: object) -> None:
-    """Reject anything but a plain int; bool is an int subclass, so it is
-    rejected by name."""
-    for name, value in params.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ThresholdPayment(PaymentFunction):
     """Fixed reward to every majority voter, nothing to the minority."""
@@ -121,7 +135,7 @@ class ThresholdPayment(PaymentFunction):
     reward: float
 
     def __post_init__(self) -> None:
-        _check_finite(reward=self.reward)
+        _real("reward", self.reward)
 
     def value(self, n: int) -> np.ndarray:
         k = np.arange(1, n + 1)
@@ -136,7 +150,7 @@ class AwardLossSharingPayment(PaymentFunction):
     total_award: float
 
     def __post_init__(self) -> None:
-        _check_finite(total_award=self.total_award)
+        _real("total_award", self.total_award)
 
     def value(self, n: int) -> np.ndarray:
         return KlerosPayment(self.total_award, self.total_award).value(n)
@@ -152,7 +166,8 @@ class KlerosPayment(PaymentFunction):
     loss: float
 
     def __post_init__(self) -> None:
-        _check_finite(award=self.award, loss=self.loss)
+        _real("award", self.award)
+        _real("loss", self.loss)
 
     def value(self, n: int) -> np.ndarray:
         k = np.arange(1, n + 1)
@@ -168,15 +183,12 @@ class TabulatedPayment(PaymentFunction):
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.jury_size < 1:
-            raise ValueError(f"jury_size must be >= 1, got {self.jury_size}")
+        object.__setattr__(self, "jury_size", _count("jury_size", self.jury_size, 1))
         if len(self.values) != self.jury_size:
             raise ValueError(
                 f"need exactly {self.jury_size} table values, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("table values must all be finite")
+        object.__setattr__(self, "values", tuple(_real("values", v) for v in self.values))
 
     def value(self, n: int) -> np.ndarray:
         if n != self.jury_size:
@@ -195,17 +207,9 @@ class Strategy:
     fidelity: float
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, so it is rejected by name
-        for name, value in (("effort", self.effort), ("fidelity", self.fidelity)):
-            if (
-                not isinstance(value, numbers.Real)
-                or isinstance(value, bool)
-                or not math.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if self.effort < 0.0:
+        if _real("effort", self.effort) < 0.0:
             raise ValueError(f"effort must be non-negative, got {self.effort}")
-        if not 0.0 <= self.fidelity <= 1.0:
+        if not 0.0 <= _real("fidelity", self.fidelity) <= 1.0:
             raise ValueError(f"fidelity must lie in [0, 1], got {self.fidelity}")
 
 
@@ -237,8 +241,8 @@ def validate_pmf(pmf: Sequence[float], n: int) -> None:
     and >= 0, total mass 1 within 1e-9."""
     if len(pmf) != n:
         raise ValueError(f"PMF must have {n} entries (counts 0..{n - 1}), got {len(pmf)}")
-    if not all(math.isfinite(p) and p >= 0.0 for p in pmf):
-        raise ValueError("PMF entries must be finite and non-negative")
+    if not all(_real("PMF entries", p) >= 0.0 for p in pmf):
+        raise ValueError("PMF entries must be non-negative")
     total = math.fsum(pmf)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"PMF must sum to 1 within 1e-9, got {total}")
@@ -248,7 +252,7 @@ def vote_advantage(payment: PaymentFunction, n: int) -> np.ndarray:
     """Payment gain of a ground-truth vote over the opposite vote; entry m is
     the gain when exactly m of the other n-1 jurors vote for the ground
     truth."""
-    table = payment.value(operator.index(n))
+    table = payment.value(_count("n", n, 1))
     with np.errstate(over="ignore"):
         advantage = table - table[::-1]
     if not np.isfinite(advantage).all():

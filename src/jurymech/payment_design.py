@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import binomial_weights
-from .model import AgentKind, EffortProfile, TabulatedPayment
+from .model import AgentKind, EffortProfile, TabulatedPayment, _count, _real
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class DesignOptions:
     individual_rationality: bool = False
 
     def __post_init__(self) -> None:
-        if math.isnan(self.lower_bound) or self.lower_bound == math.inf:
-            raise ValueError("lower_bound must be a real number or -inf")
+        if self.lower_bound != -math.inf:
+            object.__setattr__(self, "lower_bound", _real("lower_bound", self.lower_bound))
 
 
 class DesignError(RuntimeError):
@@ -100,8 +100,7 @@ def _design_problem(
     n-1-t.  So entry t costs x z[t] + (1-x) z[n-1-t] in expectation and adds
     z[t] - z[n-1-t] to the vote advantage.
     """
-    if n < 2:
-        raise ValueError(f"need a jury of at least 2, got n={n}")
+    _count("n", n, 2)
     if not 0.5 < x < 1.0:
         raise ValueError(f"target vote fraction must lie in (1/2, 1), got {x}")
     if profile.kind is not AgentKind.WELL_INFORMED:

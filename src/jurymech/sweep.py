@@ -46,7 +46,8 @@ from .model import (
     PaymentFunction,
     TabulatedPayment,
     ThresholdPayment,
-    _check_int,
+    _count,
+    _real,
 )
 
 
@@ -78,35 +79,24 @@ class SweepConfig:
     def __post_init__(self) -> None:
         # a string axis ("reward-threshold") becomes the enum, or raises ValueError
         object.__setattr__(self, "axis", Axis(self.axis))
-        _check_int(
-            x_steps=self.x_steps,
-            rho_steps=self.rho_steps,
-            n=self.n,
-            rounds=self.rounds,
-            samples=self.samples,
-            master_seed=self.master_seed,
-        )
+        for name, least in (
+            ("x_steps", 2), ("rho_steps", 2), ("n", 1), ("rounds", 1), ("samples", 1),
+            ("master_seed", 0),
+        ):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
         for name in ("x_min", "x_max", "epsilon", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _real(name, getattr(self, name))
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.x_steps < 2 or self.rho_steps < 2:
-            raise ValueError("x_steps and rho_steps must both be >= 2")
-        if self.n < 1 or self.rounds < 1 or self.samples < 1:
-            raise ValueError("n, rounds and samples must all be >= 1")
-        if not 0 <= self.master_seed < 2**64:
+        if not self.master_seed < 2**64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.epsilon < 0.0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.payment_kind not in _PAYMENT_KINDS:
             raise ValueError(f"payment_kind must be one of {_PAYMENT_KINDS}")
         if self.payment_values is not None:
-            object.__setattr__(
-                self, "payment_values", tuple(float(v) for v in self.payment_values)
-            )
-            if not all(math.isfinite(v) for v in self.payment_values):
-                raise ValueError("payment_values must all be finite")
+            values = tuple(_real("payment_values", v) for v in self.payment_values)
+            object.__setattr__(self, "payment_values", values)
             if len(self.payment_values) != self.n:
                 raise ValueError(
                     f"payment_values needs one entry per juror ({self.n}), "
@@ -183,9 +173,7 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     a pool of at most w - 1 forked ones.  The thread count only affects
     wall-clock time, never the numbers.
     """
-    _check_int(threads=threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = _count("threads", threads, 1)
     started = time.perf_counter()
     cells = config.cell_simulations()
     size = batch_cells(config.n, config.samples)

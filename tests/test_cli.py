@@ -603,3 +603,10 @@ class TestFreshInterpreter:
         # main() and the __main__ guard, with the exit code sys.exit gives
         proc = run_python("-m", "jurymech.cli", *args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md (Library sketch)", "exec"), {})

@@ -230,6 +230,8 @@ class TestSimulate:
             ("rounds", True),
             ("seed", 1.5),
             ("seed", "7"),
+            ("rho", True),
+            ("epsilon", True),
         ],
     )
     def test_ill_typed_integer_rejected(self, field, value):

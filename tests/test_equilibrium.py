@@ -36,7 +36,7 @@ from jurymech.model import (
     vote_advantage,
     vote_probability,
 )
-from jurymech.payment_design import binomial_weights, design_payments
+from jurymech.payment_design import binomial_weights, build_lp, design_payments
 from oracles import (
     MIS,
     WELL,
@@ -243,7 +243,7 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValueError):
             verify_equilibrium(uniform_profile(2), ThresholdPayment(1.0), tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, True])
     def test_tolerance_must_be_finite(self, tol):
         with pytest.raises(ValueError, match="tol"):
             verify_equilibrium(uniform_profile(2), ThresholdPayment(1.0), tol=tol)
@@ -579,8 +579,11 @@ class TestSymmetricEquilibria:
         satisfies_simple_condition,
         is_monotone_nondecreasing,
         lambda payment, n: find_symmetric_equilibria(WELL, payment, n),
+        lambda payment, n: binomial_weights(n, 0.75),
+        lambda payment, n: build_lp(n, 0.75),
+        lambda payment, n: design_payments(n, 0.75),
     ],
-    ids=["simple_condition", "monotone", "symmetric_search"],
+    ids=["simple_condition", "monotone", "symmetric_search", "binomial", "build_lp", "design"],
 )
 def test_jury_of_fewer_than_two_rejected(check, n):
     with pytest.raises(ValueError, match="at least 2"):
@@ -589,15 +592,30 @@ def test_jury_of_fewer_than_two_rejected(check, n):
 
 def test_jury_size_must_be_an_integer():
     # np.arange would take a float size and build a table of the wrong length
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         satisfies_simple_condition(ThresholdPayment(3.0), 2.5)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         is_monotone_nondecreasing(ThresholdPayment(3.0), 2.5)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         vote_advantage(ThresholdPayment(3.0), 3.5)
     for payment in (ThresholdPayment(3.0), KlerosPayment(1.0, 2.0)):
         for check in (satisfies_simple_condition, is_monotone_nondecreasing):
             assert check(payment, np.int64(10)) == check(payment, 10)
+    # bool is an int subclass and 2.0 a float: neither is a count; a numpy
+    # integer is one, and gives what the plain int gives (repr shows the type)
+    sized = [
+        lambda n: vote_advantage(ThresholdPayment(3.0), n),
+        lambda n: binomial_weights(n, 0.75),
+        lambda n: build_lp(n, 0.75),
+        lambda n: design_payments(n, 0.75),
+        lambda n: find_symmetric_equilibria(WELL, ThresholdPayment(3.0), n),
+        lambda n: TabulatedPayment(n, (1.0, 2.0)),
+    ]
+    for make in sized:
+        for n in (True, 2.5, 2.0):
+            with pytest.raises(ValueError, match="must be a count"):
+                make(n)
+        assert repr(make(np.int64(2))) == repr(make(2))
 
 
 def scalar_g(profile: EffortProfile, table: np.ndarray):

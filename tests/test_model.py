@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jurymech.equilibrium import best_response_to_pmf
+from jurymech.equilibrium import best_response, best_response_to_pmf
 from jurymech.model import (
     AgentKind,
     AwardLossSharingPayment,
@@ -103,6 +103,15 @@ class TestEffortProfile:
             MIS.inverse(0.6)
         with pytest.raises(ValueError):
             EffortProfile(AgentKind.WELL_INFORMED, rate=0.0)
+        # NaN passes an effort < 0 test, and a best response would carry it on
+        for effort in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="effort"):
+                WELL.value(effort)
+            with pytest.raises(ValueError, match="effort"):
+                MIS.derivative(effort)
+        for advantage in (math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match="advantage"):
+                best_response(WELL, advantage)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rate_rejected(self, rate):
@@ -199,6 +208,10 @@ class TestPayments:
             lambda: KlerosPayment(1.0, math.inf),
             lambda: TabulatedPayment(2, (math.nan, 1.0)),
             lambda: TabulatedPayment(2, (1.0, -math.inf)),
+            lambda: ThresholdPayment(True),
+            lambda: AwardLossSharingPayment(False),
+            lambda: KlerosPayment(1.0, True),
+            lambda: TabulatedPayment(2, (True, 1.0)),
         ],
         ids=[
             "threshold_inf",
@@ -209,6 +222,10 @@ class TestPayments:
             "kleros_loss_inf",
             "table_nan",
             "table_neg_inf",
+            "threshold_bool",
+            "award_loss_bool",
+            "kleros_loss_bool",
+            "table_bool",
         ],
     )
     def test_non_finite_parameters_rejected(self, make):

@@ -105,6 +105,12 @@ class TestBuildLp:
     def test_lower_bound_must_be_real_or_minus_inf(self, bound):
         with pytest.raises(ValueError, match="lower_bound"):
             DesignOptions(lower_bound=bound)
+        with pytest.raises(ValueError, match="lower_bound"):
+            DesignOptions(lower_bound=True)
+        # an int bound is stored as a float, so the table can take the step
+        assert design_payments(11, 0.75, options=DesignOptions(lower_bound=1)) == (
+            design_payments(11, 0.75, options=DesignOptions(lower_bound=1.0))
+        )
         lp = build_lp(3, 0.75)
         with pytest.raises(ValueError, match="lower bounds"):
             dataclasses.replace(lp, lower_bounds=np.array([0.0, bound, 0.0]))

@@ -14,6 +14,7 @@ from jurymech.dynamics import (
     derive_seed,
 )
 from jurymech.model import AwardLossSharingPayment, TabulatedPayment, ThresholdPayment
+from jurymech.payment_design import design_payments
 from jurymech.sweep import (
     PRESETS,
     Axis,
@@ -100,6 +101,10 @@ class TestSweepConfig:
             ("master_seed", 0.5),
             ("master_seed", -1),
             ("master_seed", 2**64),
+            ("x_min", False),
+            ("x_max", True),
+            ("epsilon", True),
+            ("omega", False),
         ],
     )
     def test_ill_typed_values_rejected(self, field, value):
@@ -403,6 +408,23 @@ class TestConfigJson:
             payment_values=(0.5, 1.5, 2.5),
         )
         assert config_from_json(config_to_json(cfg)) == cfg
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        # counts read from numpy arrays are stored as the plain ints that
+        # json can write, and every entry point takes them
+        counts = ("x_steps", "rho_steps", "n", "rounds", "samples", "master_seed")
+        cfg = dataclasses.replace(TINY, **{k: np.int64(getattr(TINY, k)) for k in counts})
+        assert config_to_json(cfg) == config_to_json(TINY)
+        assert config_from_json(config_to_json(cfg)) == TINY
+        assert all(type(getattr(cfg, k)) is int for k in counts)
+        cell = TINY.cell_simulation(1, 2)
+        wide = dataclasses.replace(
+            cell, n=np.int64(cell.n), rounds=np.int32(cell.rounds), seed=np.uint64(cell.seed)
+        )
+        assert all(type(getattr(wide, k)) is int for k in ("n", "rounds", "seed"))
+        assert correctness_estimate(wide, np.int64(3)) == correctness_estimate(cell, 3)
+        assert np.array_equal(run_sweep(cfg, threads=np.int64(1)).grid, run_sweep(TINY).grid)
+        assert type(design_payments(np.int64(11), 0.75).payment.jury_size) is int
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep config keys"):
