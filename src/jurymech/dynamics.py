@@ -10,7 +10,13 @@ Jurors come in two kinds, well-informed and misinformed, and a round is
 recorded as its ground-truth votes per kind (RoundState).  After round 0
 both kinds answer a vote count with one probability (the misinformed curve
 is the well-informed one reflected about 1/2), so a response table is one
-row, and the vote count alone is the state of the lumped Markov chain.
+row p, and the vote count alone is the state of the lumped Markov chain.
+When T jurors voted for the ground truth, each of them sees T - 1 others
+do so and votes for it again with probability p[T-1], and each of the
+rest with p[T].  The two are equal at most counts (at n = 100 a threshold
+payment's row changes only from 48 to 49 others and from 50 to 51), so a
+round compares each whole run with p[T] and redoes juror by juror only
+the runs where p[T-1] and p[T] differ.
 
 All randomness flows through numpy's PCG64 generator.  Seeds for samples
 are derived by feeding (seed, sample index) through SeedSequence's entropy
@@ -76,10 +82,11 @@ _DRAW_BUFFER = 2**17
 # Uniform draws per round that a sweep aims for in one batch.  Each round
 # makes the same few numpy calls whatever the batch size, so a batch should
 # be large; but a larger batch fits fewer rounds into _DRAW_BUFFER, and each
-# refill costs one call per generator.  On a 10x10 fig1a grid (2-core host)
-# batches of 4 or 8 cells (2**13 or 2**14 draws) took 0.18 s, 1 cell 0.27 s
-# and 32 cells 0.26 s.
-_BATCH_DRAWS = 2**13
+# refill costs one call per generator.  On a 10x10 fig1a grid (n = 100, 20
+# samples; 2-core host, one worker) batches of 2, 4, 8 and 16 cells (2**12
+# to 2**15 draws) took a median 57, 51, 48 and 49 ms, and 8 cells beat 4 in
+# 10 of 10 alternating sweep-fig1a benchmark pairs.
+_BATCH_DRAWS = 2**14
 
 
 def derive_seed(*parts: int) -> int:
@@ -187,6 +194,14 @@ def _run_batch(
     stream.  When ``record`` is given, a (rounds + 1, 2) array, row 0's
     per-kind counts of round r are written to its row r.
 
+    A round after round 0 steps each row as the module docstring says: it
+    counts the row's votes T in the smallest unsigned type that holds n,
+    reads p[T-1] and p[T] once from the stacked response rows, compares
+    the whole row with p[T], and redoes juror by juror only the rows where
+    the two differ.  Each response row is padded with its edge entries, so
+    that T = 0 and T = n read their own row.  Every vote is the one a
+    per-juror lookup gives, bit for bit.
+
     Without ``record``, the rows of a count-independent config (its
     response row is 0.5 at every feedback count) skip to the last round,
     as the module docstring describes.
@@ -199,7 +214,8 @@ def _run_batch(
     p0 = np.array([[k.value(c.epsilon) for k in _KINDS] for c in configs])[cell]
     zero_probs = np.where(np.arange(n) < informed[cell, None], p0[:, :1], p0[:, 1:])
     table = np.array([rows[c.payment] for c in configs])
-    responses = table.ravel()
+    # a count T of 0 or n reads its own row's p[0] or p[n-1] as p[T-1] or p[T]
+    responses = np.pad(table, ((0, 0), (1, 1)), mode="edge").ravel()
     final = np.empty((len(rngs), n), dtype=bool)
     skip = np.zeros(len(rngs), dtype=bool)
     if record is None:
@@ -213,8 +229,9 @@ def _run_batch(
     if live.size == 0:
         return final
     live_rngs = [rngs[k] for k in live]
-    # flat index of feedback count 0 in each live batch row's response row
-    zero_probs, row_start = zero_probs[live], cell[live, None] * n
+    # flat start of each live batch row's padded response row
+    zero_probs, row_start = zero_probs[live], cell[live] * (n + 2)
+    count_type = np.min_scalar_type(n)
     total = rounds + 1
     block = max(1, _DRAW_BUFFER // (len(live) * n))
     draws = np.empty((len(live), min(block, total), n))
@@ -229,9 +246,15 @@ def _run_batch(
             votes = uniforms < zero_probs
         else:
             # synchronous round: each juror responds to the others' last
-            # votes, her row's count minus her own vote
-            index = row_start + votes.sum(axis=1, keepdims=True)
-            votes = uniforms < responses[index - votes]
+            # votes, her row's count T minus her own vote; index is p[T-1]'s
+            index = row_start + np.add.reduce(votes, axis=1, dtype=count_type)
+            high = responses[index + 1]
+            steps = (responses[index] != high).nonzero()[0]
+            stepped = uniforms < high[:, None]
+            if steps.size:
+                own = index[steps, None] + 1 - votes[steps]
+                stepped[steps] = uniforms[steps] < responses[own]
+            votes = stepped
         if record is not None:
             record[r] = votes[0, : informed[0]].sum(), votes[0, informed[0] :].sum()
     final[live] = votes

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    AgentKind,
     EffortProfile,
     PaymentFunction,
     Strategy,
@@ -44,11 +43,11 @@ _SCAN_CELLS = 2**15
 # ulps of 0.5, so a sign change can be a jump that no effort solves).
 _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
-_UNIT = EffortProfile(AgentKind.WELL_INFORMED)
 
 
 def _check_probabilities(probabilities: Sequence[float]) -> None:
-    if not all(0.0 <= p <= 1.0 for p in probabilities):  # NaN fails both
+    # NaN fails both comparisons; a bool passes them but is no probability
+    if not all(0.0 <= p <= 1.0 and not isinstance(p, bool) for p in probabilities):
         raise ValueError("probabilities must lie in [0, 1]")
 
 
@@ -315,11 +314,12 @@ def _scan_values(
     # two buffers, reused by every chunk: the weights and the (n-1-t) term
     buffers = np.empty((2, min(step, grid.shape[0]), n))
     for start in range(0, grid.shape[0], step):
-        efforts = grid[start : start + step].tolist()
-        quality = [_UNIT.value(u) for u in efforts]
-        weights = _binomial_rows(quality, log_choose, buffers[:, : len(efforts)])
-        slope = rate * np.array([_UNIT.derivative(u) for u in efforts])
-        values[start : start + len(efforts)] = slope * (weights @ advantage_table) - 1.0
+        # h = exp(-u)/2: the quality is 1 - h and the unit-rate slope h
+        halves = [math.exp(-u) / 2.0 for u in grid[start : start + step].tolist()]
+        quality = [1.0 - h for h in halves]
+        weights = _binomial_rows(quality, log_choose, buffers[:, : len(halves)])
+        slope = rate * np.array(halves)
+        values[start : start + len(halves)] = slope * (weights @ advantage_table) - 1.0
     return values
 
 

@@ -84,14 +84,14 @@ class EffortProfile:
 
     def value(self, effort: float) -> float:
         """Probability of receiving the ground truth at the given effort."""
-        if not effort >= 0.0:  # NaN fails too
+        if _real("effort", effort) < 0.0:
             raise ValueError(f"effort must be non-negative, got {effort}")
         half = math.exp(-self.rate * effort) / 2.0
         return 1.0 - half if self.well_informed else half
 
     def derivative(self, effort: float) -> float:
         """Slope of the signal-quality curve (negative for misinformed)."""
-        if not effort >= 0.0:  # NaN fails too
+        if _real("effort", effort) < 0.0:
             raise ValueError(f"effort must be non-negative, got {effort}")
         slope = self.rate * math.exp(-self.rate * effort) / 2.0
         return slope if self.well_informed else -slope

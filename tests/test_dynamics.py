@@ -491,13 +491,17 @@ class TestDeriveSeed:
 def mixed_batch(n: int, rounds: int) -> list[SimulationConfig]:
     """Configs that differ in everything a batch row reads from its cell:
     population split, payment family and round-0 effort; seeds of one and
-    of two 32-bit words.  The last one's reward never activates a juror, so
-    its response row ignores the vote count."""
+    of two 32-bit words.  The fourth pays a unanimous vote double a high
+    threshold reward, so its response row changes from 0 to 1 others and
+    from n-2 to n-1, and its runs reach both ends.  The last one's reward
+    never activates a juror, so its response row ignores the vote count."""
     table = tuple(float(v) for v in np.linspace(-1.0, 4.0, n))
+    edges = tuple(200.0 if k == n else 100.0 if 2 * k >= n else 0.0 for k in range(1, n + 1))
     cells = [
         (0.0, ThresholdPayment(3.0), 1.0, 5),
         (0.37, KlerosPayment(1.0, 2.0), 0.5, 2**40 + 3),
         (1.0, TabulatedPayment(n, table), 2.0, 2**64 - 1),
+        (0.5, TabulatedPayment(n, edges), 0.0, 7),
         (0.37, ThresholdPayment(4.0), 0.0, 0),
         (1.0, AwardLossSharingPayment(50.0), 1.5, 2**32),
         (0.6, ThresholdPayment(1.5), 0.5, 11),
@@ -512,9 +516,11 @@ class TestBatch:
     def test_mixed_batch_matches_cells_and_replays(self):
         n, rounds, samples = 60, 300, 4
         configs = mixed_batch(n, rounds)
-        # 20 stepped rows of 60 draws per round: the buffer is filled in 3
+        # 24 stepped rows of 60 draws per round: the buffer is filled in 4
         # blocks; the 4 rows of the count-independent config skip ahead
         assert np.all(_response_row(configs[-1].payment, n) == 0.5)
+        edge_row = _response_row(configs[3].payment, n)
+        assert edge_row[0] != edge_row[1] and edge_row[-2] != edge_row[-1]
         assert (len(configs) - 1) * samples * n * (rounds + 1) > 2 * _DRAW_BUFFER
         estimates = correctness_estimates(configs, samples)
         singles = [correctness_estimate(cfg, samples) for cfg in configs]
@@ -529,6 +535,12 @@ class TestBatch:
         assert estimates.tolist() == [
             sum(t.final_correct for t in runs) / samples for runs in replays
         ]
+        # the edge cell's runs reach both ends of its row and match the
+        # per-juror loop
+        assert {0, 1, n - 1, n} <= {s.t_count for t in replays[3] for s in t.states}
+        assert [
+            [(s.informed, s.misinformed) for s in t.states] for t in replays[3]
+        ] == reference_runs(configs[3], samples)
         seeds = np.array([cfg.seed for cfg in configs], dtype=np.uint64)
         rngs = preset_generators(sample_states(seeds, samples))
         votes = _run_batch(configs, rngs, _response_rows(configs))
@@ -606,6 +618,7 @@ class TestBatch:
         samples = 20
         monkeypatch.setattr(dynamics, "_response_row", counting)
         monkeypatch.setattr(dynamics, "_run_batch", recording)
+        monkeypatch.setattr(dynamics, "_BATCH_DRAWS", 2**13)
         estimates = correctness_estimates(configs, samples)
         # three batches, the last one partial, and one build per payment
         assert batch_cells(100, samples) == 4 and batches == [4, 4, 1]
@@ -616,6 +629,7 @@ class TestBatch:
     @pytest.mark.parametrize("buffer", [160, 16])
     def test_seed_groups_stay_bounded(self, buffer, monkeypatch):
         n, samples = 400, 6
+        monkeypatch.setattr(dynamics, "_BATCH_DRAWS", 2**13)
         configs = [
             config(n=n, rho=(c % 7) / 6, payment=ThresholdPayment(c / 5), rounds=5, seed=c)
             for c in range(30)

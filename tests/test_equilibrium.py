@@ -105,7 +105,8 @@ class TestOthersVotePmf:
         assert np.all(pmf >= 0.0)
 
     @pytest.mark.parametrize(
-        "probs", [[0.5, 1.5], [0.5, -0.25], [0.5, math.nan], [math.inf], [-math.inf, 0.5]]
+        "probs",
+        [[0.5, 1.5], [0.5, -0.25], [0.5, math.nan], [math.inf], [-math.inf, 0.5], [True, 0.5]],
     )
     def test_rejects_probabilities_outside_unit_interval(self, probs):
         # [0.5, 1.5] used to return [-0.25, 0.5, 0.75], and NaN all NaN

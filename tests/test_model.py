@@ -104,7 +104,7 @@ class TestEffortProfile:
         with pytest.raises(ValueError):
             EffortProfile(AgentKind.WELL_INFORMED, rate=0.0)
         # NaN passes an effort < 0 test, and a best response would carry it on
-        for effort in (math.nan, -math.inf):
+        for effort in (math.nan, -math.inf, True):
             with pytest.raises(ValueError, match="effort"):
                 WELL.value(effort)
             with pytest.raises(ValueError, match="effort"):

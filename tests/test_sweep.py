@@ -212,7 +212,13 @@ class TestRunSweep:
         parallel = run_sweep(TINY, threads=2)
         assert np.array_equal(serial.grid, parallel.grid)
 
-    def test_batches_match_single_cells(self):
+    @pytest.fixture
+    def batches_of_four(self, monkeypatch):
+        """Batches of 4 cells at n = 100 and 20 samples, the sizes the tests
+        below count, whatever _BATCH_DRAWS is tuned to."""
+        monkeypatch.setattr("jurymech.dynamics._BATCH_DRAWS", 2**13)
+
+    def test_batches_match_single_cells(self, batches_of_four):
         # 21 cells in batches of 4: the last batch holds one cell
         grid = SweepConfig(
             axis=Axis.REWARD_THRESHOLD,
@@ -312,7 +318,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("rho_steps, batches", [(2, 1), (6, 3)])
     def test_pool_has_no_more_workers_than_batches(
-        self, rho_steps, batches, serial_pool
+        self, rho_steps, batches, serial_pool, batches_of_four
     ):
         sizes, tasks = serial_pool
         grid = dataclasses.replace(TINY, x_steps=2, rho_steps=rho_steps, n=100, samples=20)
@@ -330,7 +336,7 @@ class TestRunSweep:
         assert len(tasks) == sum(sizes) + 1
         self.assert_whole_batch_runs(grid, tasks)
 
-    def test_uneven_split_gives_one_task_per_worker(self, serial_pool):
+    def test_uneven_split_gives_one_task_per_worker(self, serial_pool, batches_of_four):
         sizes, tasks = serial_pool
         # 15 cells in batches of 4 (the last holds 3) over 3 workers
         grid = dataclasses.replace(TINY, x_steps=3, rho_steps=5, n=100, samples=20)
@@ -345,7 +351,7 @@ class TestRunSweep:
         assert pooled.grid.tobytes() == serial.grid.tobytes()
 
     @pytest.mark.parametrize("threads, forked", [(2, 1), (64, 2)])
-    def test_error_in_own_task_propagates(self, threads, forked, monkeypatch):
+    def test_error_in_own_task_propagates(self, threads, forked, monkeypatch, batches_of_four):
         # 3 batches: min(threads, 3) workers, this process and the forked ones
         grid = dataclasses.replace(TINY, x_steps=2, rho_steps=6, n=100, samples=20)
         monkeypatch.setattr("jurymech.sweep.correctness_estimates", _fail_in_caller)
