@@ -107,19 +107,14 @@ def _add_payment_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--payment-file", metavar="PATH")
 
 
-def _payment_from_args(args: argparse.Namespace, n: int) -> PaymentFunction:
+def _payment_from_args(args: argparse.Namespace) -> PaymentFunction:
     if args.threshold is not None:
         return ThresholdPayment(args.threshold)
     if args.award_loss is not None:
         return AwardLossSharingPayment(args.award_loss)
     if args.kleros is not None:
         return KlerosPayment(args.kleros[0], args.kleros[1])
-    table = read_payment_table(args.payment_file)
-    if table.jury_size != n:
-        raise UsageError(
-            f"payment table has {table.jury_size} rows but the jury size is {n}"
-        )
-    return table
+    return read_payment_table(args.payment_file)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -137,7 +132,7 @@ def _cmd_best_response(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_payment(args: argparse.Namespace) -> int:
-    payment = _payment_from_args(args, args.n)
+    payment = _payment_from_args(args)
     simple = satisfies_simple_condition(payment, args.n)
     monotone = is_monotone_nondecreasing(payment, args.n)
     print(f"simple condition: {'satisfied' if simple else 'violated'}")
@@ -162,7 +157,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 def _cmd_find_eq(args: argparse.Namespace) -> int:
     profile = EffortProfile(AgentKind.WELL_INFORMED, args.rate)
-    payment = _payment_from_args(args, args.n)
+    payment = _payment_from_args(args)
     roots = find_symmetric_equilibria(profile, payment, args.n)
     if not roots:
         print("none found")
@@ -176,7 +171,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         n=args.n,
         rho=args.rho,
-        payment=_payment_from_args(args, args.n),
+        payment=_payment_from_args(args),
         epsilon=args.epsilon,
         rounds=args.rounds,
         seed=args.seed,

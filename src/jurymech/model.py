@@ -107,12 +107,16 @@ class EffortProfile:
                 raise ValueError(
                     f"well-informed quality must lie in [1/2, 1), got {quality}"
                 )
-            return -math.log(2.0 * (1.0 - quality)) / self.rate
-        if not 0.0 < quality <= 0.5:
+            effort = -math.log(2.0 * (1.0 - quality)) / self.rate
+        elif not 0.0 < quality <= 0.5:
             raise ValueError(
                 f"misinformed quality must lie in (0, 1/2], got {quality}"
             )
-        return -math.log(2.0 * quality) / self.rate
+        else:
+            effort = -math.log(2.0 * quality) / self.rate
+        if math.isinf(effort):
+            raise ValueError(f"rate {self.rate} leaves quality {quality} no finite effort")
+        return effort
 
 
 class PaymentFunction:

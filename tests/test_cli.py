@@ -268,16 +268,23 @@ class TestSimulate:
         assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
         assert built == []
 
-    def test_payment_file_size_mismatch(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("simulate", ["--rho", "1.0", "--epsilon", "1", "--rounds", "1"]),
+            ("find-eq", []),
+            ("check-payment", []),
+        ],
+        ids=["simulate", "find-eq", "check-payment"],
+    )
+    def test_payment_file_size_mismatch(self, command, flags, tmp_path, capsys):
+        # the table itself refuses a query at any other jury size
         table_path = tmp_path / "t.csv"
         write_payment_table(TabulatedPayment(3, (0.0, 1.0, 2.0)), str(table_path))
-        args = [
-            "simulate", "--payment-file", str(table_path), "--n", "5",
-            "--rho", "1.0", "--epsilon", "1", "--rounds", "1",
-        ]
-        code, _, err = run(args, capsys)
-        assert code == 1
-        assert "usage error" in err
+        args = [command, "--payment-file", str(table_path), "--n", "5", *flags]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (1, "")
+        assert err == "usage error: table is for jury size 3, queried with n=5\n"
 
     def test_missing_payment_file(self, tmp_path, capsys):
         args = [
@@ -557,27 +564,30 @@ class TestExitCodes:
         assert err.startswith("usage error: vote advantage overflows") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "args, flag",
+        "args, message",
         [
-            (["best-response", "--kind", "well-informed", "--q", "nan"], "--q"),
-            (["best-response", "--kind", "misinformed", "--q", "inf"], "--q"),
-            (["best-response", "--kind", "well-informed", "--q", "-inf"], "--q"),
+            (["best-response", "--kind", "well-informed", "--q", "nan"], "argument --q:"),
+            (["best-response", "--kind", "misinformed", "--q", "inf"], "argument --q:"),
+            (["best-response", "--kind", "well-informed", "--q", "-inf"], "argument --q:"),
             (["best-response", "--kind", "well-informed", "--q", "3", "--rate", "inf"],
-             "--rate"),
+             "argument --rate:"),
             (["design", "--n", "11", "--target", "0.75", "--rate", "inf", "--out", "out"],
-             "--rate"),
-            (["find-eq", "--threshold", "3", "--n", "11", "--rate", "nan"], "--rate"),
+             "argument --rate:"),
+            (["find-eq", "--threshold", "3", "--n", "11", "--rate", "nan"], "argument --rate:"),
+            # a finite rate so small that the target's effort would overflow to inf
+            (["design", "--n", "11", "--target", "0.75", "--rate", "1e-320", "--out", "out"],
+             "rate 1e-320 leaves quality 0.75 no finite effort"),
         ],
         ids=[
             "q_nan", "q_inf", "q_minus_inf", "br_rate_inf", "design_rate_inf",
-            "find_eq_rate_nan",
+            "find_eq_rate_nan", "design_rate_tiny",
         ],
     )
-    def test_non_finite_effort_input(self, args, flag, tmp_path, monkeypatch, capsys):
+    def test_non_finite_effort_input(self, args, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(args, capsys)
         assert code == 1 and "usage error" in err
-        assert f"argument {flag}:" in err
+        assert message in err
         assert out == ""
         assert not (tmp_path / "out").exists()
 

@@ -1,15 +1,17 @@
-"""Golden outputs: the sha256 of the small sweep CSVs (at one worker and
-through a pool of two), of one simulate dump, of a grid of design LPs (their
-arrays, their simplex results and their closed-form designs) and of a set
-of symmetric-equilibrium roots.  Any change to a random stream, a response
-table, the output format, a design or a simplex pivot moves one of these
-hashes, so a refactor that claims bit-identical output is checked here
-rather than by hand.  An installed package, imported in place of src/, must
-reproduce them too."""
+"""Golden outputs: the sha256 of the sweep CSVs (the small presets at one
+worker and through a pool of two, the paper's full Fig. 1a-c presets once
+each through the pool and within the spec's 15-minute budget), of one
+simulate dump, of a grid of design LPs (their arrays, their simplex results
+and their closed-form designs) and of a set of symmetric-equilibrium roots.
+Any change to a random stream, a response table, the output format, a
+design or a simplex pivot moves one of these hashes, so a refactor that
+claims bit-identical output is checked here rather than by hand.  An
+installed package, imported in place of src/, must reproduce them too."""
 
 import collections
 import dataclasses
 import hashlib
+import time
 
 import pytest
 
@@ -24,6 +26,10 @@ SWEEP_CSV_SHA256 = {
     "fig1a-small": "fd165a041105efa71ef1b51bddd52b87277e8997fa728044d020f3861e2b0351",
     "fig1b-small": "7c42062ff23ccf72a1118bf703ccde71c63a5f30273ef047f89c9d9b22528e45",
     "fig1c-small": "737f4d59c74ed49378e90fce3b99ffe99d0db8a2d2f14e43331c0706d9c49168",
+    # the paper's Fig. 1a-c in full, run only through the pool of two
+    "fig1a": "9552b9c36c000efa521a824039a813b513ebddeac2cc188f210f9af2730867ff",
+    "fig1b": "58431cb1395708b824f375cbfd5f3f0db127a6d2160c52b149d5273e322b80fa",
+    "fig1c": "ab25fd5a88bf6c57e6de60a6a9ca7c62e8c33004a131a7962406d1918c565e78",
 }
 
 SIMULATE_ARGS = [
@@ -39,15 +45,19 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize(
     "preset, threads",
-    [pytest.param(p, 1, id=p) for p in sorted(SWEEP_CSV_SHA256)]
+    [pytest.param(p, 1, id=p) for p in sorted(SWEEP_CSV_SHA256) if p.endswith("-small")]
     + [pytest.param(p, 2, id=f"{p}-2w") for p in sorted(SWEEP_CSV_SHA256)],
 )
 def test_sweep_csv(preset, threads, tmp_path, capsys):
-    """The same bytes at one worker and through a real pool of two."""
+    """The same bytes at one worker and through a real pool of two, and every
+    preset within the spec's 15-minute budget."""
     args = ["sweep", "--preset", preset, "--out", str(tmp_path)]
+    started = time.perf_counter()
     assert cli_main([*args, "--threads", str(threads)]) == 0
+    elapsed = time.perf_counter() - started
     capsys.readouterr()
     assert sha256((tmp_path / f"{preset}.csv").read_bytes()) == SWEEP_CSV_SHA256[preset]
+    assert elapsed < 15 * 60, f"{preset} took {elapsed / 60:.1f} min"
 
 
 def test_simulate_dump(capsys):

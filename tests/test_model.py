@@ -101,6 +101,9 @@ class TestEffortProfile:
             WELL.inverse(1.0)
         with pytest.raises(ValueError):
             MIS.inverse(0.6)
+        # -log(0.002) / 1e-308 overflows: no finite effort reaches this quality
+        with pytest.raises(ValueError, match="rate 1e-308 leaves quality 0.999"):
+            EffortProfile(AgentKind.WELL_INFORMED, 1e-308).inverse(0.999)
         with pytest.raises(ValueError):
             EffortProfile(AgentKind.WELL_INFORMED, rate=0.0)
         # NaN passes an effort < 0 test, and a best response would carry it on
