@@ -149,9 +149,9 @@ def _cmd_design(args: argparse.Namespace) -> int:
     path = _out_dir(args) / f"payments-n{args.n}-x{args.target!r}.csv"
     write_payment_table(design.payment, str(path))
     print(f"wrote {path}")
-    print(f"equilibrium effort: {design.equilibrium_effort:.6f}")
-    print(f"target advantage: {design.target_advantage:.6f}")
-    print(f"expected per-juror cost: {design.expected_cost:.6f}")
+    print(f"equilibrium effort: {design.equilibrium_effort!r}")
+    print(f"target advantage: {design.target_advantage!r}")
+    print(f"expected per-juror cost: {design.expected_cost!r}")
     return 0
 
 

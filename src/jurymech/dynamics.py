@@ -32,15 +32,17 @@ response row and round-0 probabilities.  A response row depends only on
 the payment, so correctness_estimates builds one per distinct payment for
 all the configs it is given, and cuts them into batches of batch_cells
 configs itself.  Seeds are derived as one array per group of whole
-batches, of at most _DRAW_BUFFER // 4 samples (1 MiB of state words) but
+batches, of at most _DRAW_BUFFER // 4 samples (2 MiB of state words) but
 never less than one batch: jurymech._seeding redoes SeedSequence's mixing
 in uint32 array arithmetic, for derive_seed(seed, k) and then for the
 state that default_rng would give PCG64 from that seed.  A batch's
 generators are built from those states just before it runs.  So every
 stream is unchanged, derive_seed stays the oracle it is tested against,
 and any sample can be replayed alone with simulate().  The buffer of
-uniforms is capped at _DRAW_BUFFER doubles; past the cap it is refilled in
-blocks of rounds, with every generator kept alive between blocks.
+uniforms is capped at _DRAW_BUFFER doubles (2 MiB); past the cap it is
+refilled in blocks of rounds, with every generator kept alive between
+blocks.  A batch aims for _BATCH_DRAWS uniforms per round: at fig1a's shape
+(n = 100, 20 samples) that is 16 configs, and a refill covers 13 rounds.
 
 A config is count-independent exactly when no juror ever puts in effort,
 so that its response row is 0.5 throughout: no other row is constant, as a
@@ -75,18 +77,25 @@ from .model import (
 
 _SEED_LIMIT = 2**64
 
-# Cap on the buffer of uniform draws, in doubles (1 MiB), so that memory
-# stays O(samples * n) however many rounds a run has.
-_DRAW_BUFFER = 2**17
+# Cap on the buffer of uniform draws, in doubles (2 MiB), so that memory
+# stays O(samples * n) however many rounds a run has.  It is sized with
+# _BATCH_DRAWS: doubling both keeps 13 rounds per refill at fig1a's shape.
+_DRAW_BUFFER = 2**18
 
 # Uniform draws per round that a sweep aims for in one batch.  Each round
 # makes the same few numpy calls whatever the batch size, so a batch should
 # be large; but a larger batch fits fewer rounds into _DRAW_BUFFER, and each
 # refill costs one call per generator.  On a 10x10 fig1a grid (n = 100, 20
-# samples; 2-core host, one worker) batches of 2, 4, 8 and 16 cells (2**12
-# to 2**15 draws) took a median 57, 51, 48 and 49 ms, and 8 cells beat 4 in
-# 10 of 10 alternating sweep-fig1a benchmark pairs.
-_BATCH_DRAWS = 2**14
+# samples; 2-core host, one worker), 16-cell batches in a 2 MiB buffer
+# against 8-cell batches in 1 MiB took sweep-fig1a's wall_s from a median
+# 0.0946 to 0.0870 s (-8%) and won 10 of 10 alternating benchmark pairs.
+_BATCH_DRAWS = 2**15
+
+# Most juror-draws, configs * samples * n * (rounds + 1), that one Monte
+# Carlo call or sweep may ask for: ten times the full fig1a preset's
+# 1.02e9, which takes about 5 s on one core, so that no accepted input
+# runs for more than a few minutes.
+_DRAW_BUDGET = 10**10
 
 
 def derive_seed(*parts: int) -> int:
@@ -196,11 +205,11 @@ def _run_batch(
 
     A round after round 0 steps each row as the module docstring says: it
     counts the row's votes T in the smallest unsigned type that holds n,
-    reads p[T-1] and p[T] once from the stacked response rows, compares
-    the whole row with p[T], and redoes juror by juror only the rows where
-    the two differ.  Each response row is padded with its edge entries, so
-    that T = 0 and T = n read their own row.  Every vote is the one a
-    per-juror lookup gives, bit for bit.
+    reads p[T] and whether p[T-1] differs from it in two flat arrays made
+    once per batch, compares the whole row with p[T], and redoes juror by
+    juror only the rows where the two differ.  Each response row is padded
+    with its edge entries, so that T = 0 and T = n read their own row.
+    Every vote is the one a per-juror lookup gives, bit for bit.
 
     Without ``record``, the rows of a count-independent config (its
     response row is 0.5 at every feedback count) skip to the last round,
@@ -214,8 +223,12 @@ def _run_batch(
     p0 = np.array([[k.value(c.epsilon) for k in _KINDS] for c in configs])[cell]
     zero_probs = np.where(np.arange(n) < informed[cell, None], p0[:, :1], p0[:, 1:])
     table = np.array([rows[c.payment] for c in configs])
-    # a count T of 0 or n reads its own row's p[0] or p[n-1] as p[T-1] or p[T]
-    responses = np.pad(table, ((0, 0), (1, 1)), mode="edge").ravel()
+    # padded[c, T] and padded[c, T + 1] are config c's p[T-1] and p[T]; a
+    # count T of 0 or n reads its own row's p[0] or p[n-1]
+    padded = np.pad(table, ((0, 0), (1, 1)), mode="edge")
+    # flat lookups at c * (n + 1) + T: p[T], and whether p[T-1] differs
+    thresholds = padded[:, 1:].ravel()
+    steps_at = (padded[:, :-1] != padded[:, 1:]).ravel()
     final = np.empty((len(rngs), n), dtype=bool)
     skip = np.zeros(len(rngs), dtype=bool)
     if record is None:
@@ -228,32 +241,32 @@ def _run_batch(
     live = np.flatnonzero(~skip)
     if live.size == 0:
         return final
-    live_rngs = [rngs[k] for k in live]
-    # flat start of each live batch row's padded response row
-    zero_probs, row_start = zero_probs[live], cell[live] * (n + 2)
+    # flat start of each live batch row's lookups
+    zero_probs, row_start = zero_probs[live], cell[live] * (n + 1)
     count_type = np.min_scalar_type(n)
     total = rounds + 1
     block = max(1, _DRAW_BUFFER // (len(live) * n))
     draws = np.empty((len(live), min(block, total), n))
+    fills, blocks = [rngs[k].random for k in live], list(draws)
     for r in range(total):
         offset = r % block
         if offset == 0:
-            count = min(block, total - r)
-            for rng, block_draws in zip(live_rngs, draws):
-                rng.random(out=block_draws[:count])
+            if total - r < block:  # the last refill draws only what is left
+                blocks = [view[: total - r] for view in blocks]
+            for fill, out in zip(fills, blocks):
+                fill(out=out)
         uniforms = draws[:, offset]
         if r == 0:
             votes = uniforms < zero_probs
         else:
             # synchronous round: each juror responds to the others' last
-            # votes, her row's count T minus her own vote; index is p[T-1]'s
+            # votes, her row's count T minus her own vote v, so reads p[T-v]
             index = row_start + np.add.reduce(votes, axis=1, dtype=count_type)
-            high = responses[index + 1]
-            steps = (responses[index] != high).nonzero()[0]
-            stepped = uniforms < high[:, None]
+            stepped = uniforms < thresholds[index][:, None]
+            steps = steps_at[index].nonzero()[0]
             if steps.size:
-                own = index[steps, None] + 1 - votes[steps]
-                stepped[steps] = uniforms[steps] < responses[own]
+                own = index[steps, None] - votes[steps]
+                stepped[steps] = uniforms[steps] < thresholds[own]
             votes = stepped
         if record is not None:
             record[r] = votes[0, : informed[0]].sum(), votes[0, informed[0] :].sum()
@@ -271,6 +284,18 @@ def simulate(config: SimulationConfig) -> Trajectory:
         states=tuple(RoundState(*counts) for counts in record.tolist()),
         final_correct=int(votes.sum()) > config.n / 2,
     )
+
+
+def check_draw_budget(configs: int, samples: int, n: int, rounds: int) -> None:
+    """Raise ValueError when runs of ``configs`` configs would draw more
+    than _DRAW_BUDGET uniforms, each config's ``samples`` runs drawing n
+    per round for rounds + 1 rounds."""
+    draws = configs * samples * n * (rounds + 1)
+    if draws > _DRAW_BUDGET:
+        raise ValueError(
+            f"{configs} configs x {samples} samples x {n} jurors x {rounds + 1} rounds "
+            f"are {draws} juror-draws, past the budget of {_DRAW_BUDGET}"
+        )
 
 
 def batch_cells(n: int, samples: int) -> int:
@@ -291,6 +316,7 @@ def correctness_estimates(
     sample matches a standalone simulate() call with its derived seed.
     The configs run in consecutive batches of batch_cells(n, samples), with
     the response rows and seed groups set up as the module docstring says.
+    Past check_draw_budget's budget it raises ValueError before any run.
     """
     samples = _count("samples", samples, 1)
     if not configs:
@@ -298,12 +324,13 @@ def correctness_estimates(
     n, rounds = configs[0].n, configs[0].rounds
     if any(c.n != n or c.rounds != rounds for c in configs):
         raise ValueError("the configs of one call must share n and rounds")
+    check_draw_budget(len(configs), samples, n, rounds)
     # imported on first use, like numpy.random itself (see _seeding)
     from ._seeding import preset_generators, sample_states
 
     rows = _response_rows(configs)
     size = batch_cells(n, samples)
-    # whole batches of at most _DRAW_BUFFER // 4 samples (1 MiB of state
+    # whole batches of at most _DRAW_BUFFER // 4 samples (2 MiB of state
     # words) share one seed derivation; a larger batch has its own
     group = size * max(1, _DRAW_BUFFER // 4 // (size * samples))
     seeds = np.array([c.seed for c in configs], dtype=np.uint64)

@@ -37,6 +37,7 @@ import numpy as np
 from .dynamics import (  # noqa: F401
     SimulationConfig,
     batch_cells,
+    check_draw_budget,
     correctness_estimate,
     correctness_estimates,
     derive_seed,
@@ -171,11 +172,14 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
 
     With threads = w > 1, up to w workers share the grid: this process and
     a pool of at most w - 1 forked ones.  The thread count only affects
-    wall-clock time, never the numbers.
+    wall-clock time, never the numbers, and a grid past the juror-draw
+    budget of :func:`jurymech.dynamics.check_draw_budget` fails at any.
     """
     threads = _count("threads", threads, 1)
     started = time.perf_counter()
     cells = config.cell_simulations()
+    # the whole grid's work, so that the answer is the same at any threads
+    check_draw_budget(len(cells), config.samples, config.n, config.rounds)
     size = batch_cells(config.n, config.samples)
     batches = math.ceil(len(cells) / size)
     estimate = partial(correctness_estimates, samples=config.samples)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,8 +89,8 @@ class TestDesign:
         assert code == 0
         path = tmp_path / "payments-n11-x0.75.csv"
         assert path.exists()
-        assert "equilibrium effort: 0.693147" in out
-        assert "target advantage: 4.000000" in out
+        assert "equilibrium effort: 0.6931471805599453\n" in out
+        assert "target advantage: 4.0\n" in out
         table = read_payment_table(str(path))
         assert table.jury_size == 11
 
@@ -108,21 +109,38 @@ class TestDesign:
     @pytest.mark.parametrize(
         "flags,cost",
         [
-            (["--n", "101", "--target", "0.51"], "1.078872"),
-            (["--n", "51", "--target", "0.75"], "3.000000"),
-            (["--n", "201", "--target", "0.75"], "3.000000"),
-            (["--n", "2001", "--target", "0.6"], "1.500000"),
-            (["--n", "11", "--target", "0.75", "--lower-bound", "-1e3"], "-996.999932"),
-            (["--n", "11", "--target", "0.75", "--lower-bound", "-1.5e-2"], "2.985068"),
+            (["--n", "101", "--target", "0.51"], "1.078871886716475"),
+            (["--n", "51", "--target", "0.75"], "3.000000000872658"),
+            (["--n", "201", "--target", "0.75"], "3.000000000000108"),
+            (["--n", "2001", "--target", "0.6"], "1.4999999999999993"),
+            (["--n", "11", "--target", "0.75", "--lower-bound", "-1e3"], "-996.9999322585015"),
+            (["--n", "11", "--target", "0.75", "--lower-bound", "-1.5e-2"],
+             "2.9850677414984417"),
             # individual rationality binds: the cost is the equilibrium effort
             (["--n", "11", "--target", "0.75", "--lower-bound", "-1e3",
-              "--individual-rationality"], "0.693147"),
+              "--individual-rationality"], "0.6931471805599454"),
         ],
+        # each case is named by its cost to 6 decimals
+        ids=lambda value: f"{float(value):.6f}" if isinstance(value, str) else None,
     )
     def test_expected_cost(self, flags, cost, tmp_path, capsys):
         code, out, _ = run(["design", *flags, "--out", str(tmp_path)], capsys)
         assert code == 0
-        assert f"expected per-juror cost: {cost}" in out
+        assert f"expected per-juror cost: {cost}\n" in out
+
+    def test_tiny_rate_prints_short_numbers(self, tmp_path, capsys):
+        # each number is printed as its repr, not as 300 digits to 6 decimals
+        code, out, _ = run(
+            ["design", "--n", "11", "--target", "0.75", "--rate", "1e-305",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "equilibrium effort: 6.931471805599453e+304",
+            "target advantage: 4e+305",
+            "expected per-juror cost: 3.0000677414984417e+305",
+        ]
 
     def test_unanchored_design_is_a_solver_failure(self, tmp_path, capsys):
         code, _, err = run(
@@ -390,6 +408,34 @@ class TestSweep:
         )
         assert code == 1 and err.startswith("usage error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rounds_past_the_draw_budget(self, threads, tmp_path, monkeypatch, capsys):
+        # 9 cells x 2 samples x 10 jurors x (10**15 + 1) rounds are 1.8e17
+        # juror-draws, decided on the whole grid before a batch runs; the
+        # guard stops a run that starts anyway
+        def no_batch(*args):
+            raise AssertionError("a batch ran past the draw budget")
+
+        monkeypatch.setattr("jurymech.dynamics._run_batch", no_batch)
+        config_path = self.tiny_config(tmp_path)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config.update(n=10, rounds=10**15)
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        started = time.perf_counter()
+        code, out, err = run(
+            ["sweep", "--config", str(config_path), "--out", str(out_dir),
+             "--threads", threads],
+            capsys,
+        )
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "usage error: 9 configs x 2 samples x 10 jurors x 1000000000000001 rounds "
+            "are 180000000000000180 juror-draws, past the budget of 10000000000\n"
+        )
         assert not out_dir.exists()
 
     def test_grid_too_big_for_memory(self, tmp_path, monkeypatch, capsys):

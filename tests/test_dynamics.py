@@ -18,6 +18,7 @@ from jurymech.dynamics import (
     _response_rows,
     _run_batch,
     batch_cells,
+    check_draw_budget,
 )
 from jurymech._seeding import (
     PresetState,
@@ -327,7 +328,15 @@ class TestCorrectnessEstimate:
         with pytest.raises(ValueError, match="samples"):
             correctness_estimate(config(n=5, rounds=2), samples)
 
-    @pytest.mark.xfail(reason="correctness_estimates runs any number of rounds, unbounded")
+    def test_draw_budget_is_inclusive(self):
+        # the full fig1a preset, 10**4 cells of 20 runs of 100 jurors over
+        # 51 rounds, is well inside; the budget itself passes, one more fails
+        check_draw_budget(10**4, 20, 100, 50)
+        budget = dynamics._DRAW_BUDGET
+        check_draw_budget(1, 1, 1, budget - 1)
+        with pytest.raises(ValueError, match=f"{budget + 1} juror-draws, past the budget"):
+            check_draw_budget(1, 1, 1, budget)
+
     def test_unbounded_rounds_fail_fast(self, monkeypatch):
         # With a one-double draw buffer every round refills it, one random()
         # call per generator, so the 1000th call stops a run that would not end.
@@ -513,15 +522,17 @@ def mixed_batch(n: int, rounds: int) -> list[SimulationConfig]:
 
 
 class TestBatch:
-    def test_mixed_batch_matches_cells_and_replays(self):
+    def test_mixed_batch_matches_cells_and_replays(self, monkeypatch):
         n, rounds, samples = 60, 300, 4
         configs = mixed_batch(n, rounds)
-        # 24 stepped rows of 60 draws per round: the buffer is filled in 4
-        # blocks; the 4 rows of the count-independent config skip ahead
+        # 24 stepped rows of 60 draws per round: a buffer of 2**17 doubles,
+        # whatever the module is tuned to, is filled in 4 blocks; the 4 rows
+        # of the count-independent config skip ahead
+        monkeypatch.setattr(dynamics, "_DRAW_BUFFER", 2**17)
         assert np.all(_response_row(configs[-1].payment, n) == 0.5)
         edge_row = _response_row(configs[3].payment, n)
         assert edge_row[0] != edge_row[1] and edge_row[-2] != edge_row[-1]
-        assert (len(configs) - 1) * samples * n * (rounds + 1) > 2 * _DRAW_BUFFER
+        assert (len(configs) - 1) * samples * n * (rounds + 1) > 2 * dynamics._DRAW_BUFFER
         estimates = correctness_estimates(configs, samples)
         singles = [correctness_estimate(cfg, samples) for cfg in configs]
         assert estimates.tolist() == singles
