@@ -32,7 +32,7 @@ from .equilibrium import (
     best_response,
     find_symmetric_equilibria,
     is_monotone_nondecreasing,
-    satisfies_simple_condition,
+    simple_condition_falls,
 )
 from .heatmap import render_heatmap
 from .model import (
@@ -133,9 +133,11 @@ def _cmd_best_response(args: argparse.Namespace) -> int:
 
 def _cmd_check_payment(args: argparse.Namespace) -> int:
     payment = _payment_from_args(args)
-    simple = satisfies_simple_condition(payment, args.n)
+    falls = simple_condition_falls(payment, args.n)
     monotone = is_monotone_nondecreasing(payment, args.n)
-    print(f"simple condition: {'satisfied' if simple else 'violated'}")
+    print(f"simple condition: {'violated' if falls else 'satisfied'}")
+    for m, drop in falls:
+        print(f"  advantage falls from m={m} to m={m + 1} by {drop!r}")
     print(f"monotone non-decreasing: {'yes' if monotone else 'no'}")
     return 0
 

@@ -44,6 +44,23 @@ _SCAN_CELLS = 2**15
 _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
 
+# Kernel values (log-factorials, binomial weights and PMF cells) that one
+# find_symmetric_equilibria or design_payments call may compute; past it
+# they raise before they allocate.  The largest pinned input, find-eq at
+# n = 1001, computes 1.1e7; find-eq runs up to n = 1708 and design up to
+# n = 10**7 (about 0.3 s and 13 s on a 2-core host).
+_WORK_BUDGET = 2 * 10**7
+
+
+def check_work_budget(entry: str, n: int, values: int) -> None:
+    """Raise ValueError when ``entry`` at jury size n would compute more
+    than _WORK_BUDGET kernel values."""
+    if values > _WORK_BUDGET:
+        raise ValueError(
+            f"{entry} at n={n} computes {values} log-factorials, binomial weights "
+            f"and PMF cells, past the budget of {_WORK_BUDGET}"
+        )
+
 
 def _check_probabilities(probabilities: Sequence[float]) -> None:
     # NaN fails both comparisons; a bool passes them but is no probability
@@ -269,13 +286,22 @@ def mirror(profile: StrategyProfile) -> StrategyProfile:
     )
 
 
+def simple_condition_falls(payment: PaymentFunction, n: int) -> list[tuple[int, float]]:
+    """(m, drop) for every count m of the others' ground-truth votes at which
+    the vote advantage falls from m to m + 1, by drop > 0 (NaN where the
+    differences overflow).  Empty when the simple condition holds."""
+    steps = np.diff(vote_advantage(payment, _count("n", n, 2)))
+    falls = np.flatnonzero(~(steps >= 0.0))
+    return list(zip(falls.tolist(), (-steps[falls]).tolist()))
+
+
 def satisfies_simple_condition(payment: PaymentFunction, n: int) -> bool:
     """Sufficient payment condition for all equilibria to be simple: the vote
     advantage must be non-decreasing in the others' count.  Exact, with no
     tolerance to depend on the unit of payment: rounding is monotone, so a
     nondecreasing table p gives fl(p[m+1] - p[n-2-m]) >= fl(p[m] - p[n-1-m]),
     and fl(y - x) == -fl(x - y) keeps the advantage antisymmetric bit for bit."""
-    return bool(np.all(np.diff(vote_advantage(payment, _count("n", n, 2))) >= 0.0))
+    return not simple_condition_falls(payment, n)
 
 
 def is_monotone_nondecreasing(payment: PaymentFunction, n: int) -> bool:
@@ -339,11 +365,14 @@ def find_symmetric_equilibria(
     verify_equilibrium accepts everyone playing it.  The brackets are
     disjoint, so the roots are distinct; they are returned largest first,
     and empty when g stays negative (no payment large enough to activate
-    effort).
+    effort).  Before any of it, check_work_budget refuses a jury whose n
+    log-factorials, _SCAN_POINTS * n scan weights and n**2 verifier PMF
+    cells exceed the budget.
     """
     if not profile.well_informed:
         raise ValueError("symmetric-equilibrium search assumes well-informed jurors")
     n = _count("n", n, 2)
+    check_work_budget("symmetric-equilibrium search", n, (1 + _SCAN_POINTS + n) * n)
     rate = profile.rate
     table = vote_advantage(payment, n)
     log_choose = _log_choose(n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import binomial_weights
+from .equilibrium import binomial_weights, check_work_budget
 from .model import AgentKind, EffortProfile, TabulatedPayment, _count, _real
 
 
@@ -98,9 +98,10 @@ def _design_problem(
     A count of t ground-truth votes among the others, with weight z[t],
     puts a same-side juror on entry t and an opposite-side juror on entry
     n-1-t.  So entry t costs x z[t] + (1-x) z[n-1-t] in expectation and adds
-    z[t] - z[n-1-t] to the vote advantage.
+    z[t] - z[n-1-t] to the vote advantage.  Past check_work_budget's budget
+    for its n log-factorials and n weights it raises before either.
     """
-    _count("n", n, 2)
+    check_work_budget("payment design", n, 2 * _count("n", n, 2))
     if not 0.5 < x < 1.0:
         raise ValueError(f"target vote fraction must lie in (1/2, 1), got {x}")
     if profile.kind is not AgentKind.WELL_INFORMED:
@@ -174,8 +175,9 @@ def design_payments(
     the effort.
 
     Raises DesignError (unbounded) for an unanchored table without
-    individual rationality, and ValueError when no step's advantage or
-    payout is representable in double precision.
+    individual rationality, and ValueError past check_work_budget's budget
+    or when no step's advantage or payout is representable in double
+    precision.
     """
     effort, target_advantage, objective, equality = _design_problem(n, x, profile)
     if options.lower_bound == -math.inf and not options.individual_rationality:

@@ -16,9 +16,14 @@ artificial can re-enter the basis and phase two has no use for them.
 Phase two works on the same array, copied only to drop redundant rows.
 
 Bland's smallest-index pivot rule is used in both phases, so the method
-terminates on degenerate problems.  A pivot updates only the rows with a
-nonzero entry in the entering column and the columns with a nonzero entry
-in the pivot row; every other cell would be left unchanged anyway.
+terminates on degenerate problems: the entering column is the first True
+of the improving mask (its argmax), and the leaving row is the tied one
+whose basic variable has the least index.  A pivot updates only the block
+of rows with a nonzero entry in the entering column and columns with a
+nonzero entry in the pivot row, in one broadcast statement,
+``tableau[rows[:, None], cols] -= factor[rows, None] * tableau[row, cols]``;
+every other cell would compute t - f*0 or t - 0*r and keep its value (a
+full rank-1 update could turn its -0.0 into 0.0).
 Everything is double precision with a hard pivot budget; exhausting the
 budget raises instead of returning a possibly wrong answer.
 """
@@ -70,9 +75,9 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     factor[row] = 0.0
     # A cell outside these rows and columns would compute t - f*0 or
     # t - 0*r, which leaves it as it is, so only the block is updated.
-    rows = np.flatnonzero(factor)
-    cols = np.flatnonzero(tableau[row])
-    tableau[np.ix_(rows, cols)] -= np.outer(factor[rows], tableau[row, cols])
+    rows = factor.nonzero()[0]
+    cols = tableau[row].nonzero()[0]
+    tableau[rows[:, None], cols] -= factor[rows, None] * tableau[row, cols]
     basis[row] = col
 
 
@@ -85,10 +90,10 @@ def _iterate(
     """Run simplex iterations until no reduced cost improves (OPTIMAL for the
     current objective) or an improving ray is found (UNBOUNDED)."""
     while True:
-        improving = np.flatnonzero(tableau[-1, :num_cols] < -_COST_TOL)
-        if improving.size == 0:
+        improving = tableau[-1, :num_cols] < -_COST_TOL
+        entering = int(improving.argmax())  # Bland: smallest improving index
+        if not improving[entering]:
             return SolveStatus.OPTIMAL
-        entering = int(improving[0])  # Bland: smallest improving index
         column = tableau[:-1, entering]
         candidates = np.nonzero(column > _PIVOT_TOL)[0]
         if candidates.size == 0:
@@ -98,7 +103,7 @@ def _iterate(
         # Bland tie-break: among minimum ratios, leave the basic variable
         # with the smallest index.
         tied = candidates[ratios <= best + 1e-15]
-        leaving = tied[np.argmin(basis[tied])]
+        leaving = tied[basis[tied].argmin()]
         budget.spend()
         _pivot(tableau, basis, int(leaving), entering)
 

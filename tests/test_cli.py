@@ -20,14 +20,14 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """A fresh interpreter that imports the jurymech these tests import."""
     root = str(Path(jurymech.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     # the warning policy pytest applies in-process (pyproject filterwarnings)
     env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -79,6 +79,16 @@ class TestCheckPayment:
         code, out, _ = run(["check-payment", "--kleros", "1", "2", "--n", "11"], capsys)
         assert code == 0
         assert "simple condition: satisfied" in out
+
+    def test_violation_names_the_falling_rows(self, capsys):
+        # at even n the advantage of fig1b's payment falls only at the tie row
+        code, out, _ = run(["check-payment", "--award-loss", "1", "--n", "100"], capsys)
+        assert code == 0
+        assert out == (
+            "simple condition: violated\n"
+            "  advantage falls from m=49 to m=50 by 0.0007843137254901975\n"
+            "monotone non-decreasing: no\n"
+        )
 
 
 class TestDesign:
@@ -540,7 +550,8 @@ class TestExitCodes:
     def test_jury_too_big_for_memory(self, command, flags, tmp_path, monkeypatch, capsys):
         # 10**17 floats are 711 PiB, past any address space, so the first
         # array of that length fails to allocate and nothing is allocated;
-        # the guard stops a table built term by term before it is allocated
+        # find-eq and design refuse it earlier, by their work budget; the
+        # guard stops a table built term by term before it is allocated
         lgamma = math.lgamma
         calls = []
 
@@ -553,7 +564,12 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         code, out, err = run([command, *flags, "--n", str(10**17)], capsys)
         assert (code, out) == (1, "")
-        assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
+        budgeted = {"find-eq": "symmetric-equilibrium search", "design": "payment design"}
+        if command in budgeted:
+            assert err.startswith(f"usage error: {budgeted[command]} at n={10**17} computes ")
+        else:
+            assert err.startswith("usage error: Unable to allocate")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flags", JURY_SIZED)
@@ -659,6 +675,27 @@ class TestFreshInterpreter:
         # main() and the __main__ guard, with the exit code sys.exit gives
         proc = run_python("-m", "jurymech.cli", *args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            (["design", "--n", "100000000", "--target", "0.75"],
+             "payment design at n=100000000 computes 200000000"),
+            (["find-eq", "--threshold", "3", "--n", "100000000"],
+             "symmetric-equilibrium search at n=100000000 computes 10001000100000000"),
+        ],
+        ids=["design", "find-eq"],
+    )
+    def test_work_past_the_budget_fails_fast(self, args, err, tmp_path):
+        # without the work budget both run until killed; with it the
+        # interpreter, its imports included, exits within the 1 s timeout
+        out = ["--out", str(tmp_path)] if args[0] == "design" else []
+        proc = run_python("-m", "jurymech.cli", *args, *out, timeout=1.0)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"usage error: {err} log-factorials, binomial weights and PMF cells, "
+            "past the budget of 20000000\n"
+        )
 
 
 def test_readme_library_sketch_runs():

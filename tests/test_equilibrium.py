@@ -21,6 +21,7 @@ from jurymech.equilibrium import (
     others_vote_pmf,
     poisson_binomial_pmf,
     satisfies_simple_condition,
+    simple_condition_falls,
     verify_equilibrium,
 )
 from jurymech.model import (
@@ -415,6 +416,17 @@ class TestSimpleCondition:
         assert not satisfies_simple_condition(KlerosPayment(1.0, 2.0), 10)
         assert not satisfies_simple_condition(AwardLossSharingPayment(1.0), 100)
 
+    def test_falls_name_the_tie_row(self):
+        # at the presets' even n = 100 the advantage of fig1b's payment and
+        # of Kleros (1, 2) falls at one row, m = 49 to 50; at odd n, nowhere
+        for payment in (AwardLossSharingPayment(1.0), KlerosPayment(1.0, 2.0)):
+            assert simple_condition_falls(payment, 100) == [(49, 0.0007843137254901975)]
+            assert simple_condition_falls(payment, 11) == []
+            assert simple_condition_falls(payment, 101) == []
+        assert [m for m, _ in simple_condition_falls(KlerosPayment(3.0, 2.0), 101)] == [
+            45, 46, 47, 48, 51, 52, 53, 54
+        ]
+
     def test_oversized_award_fails_large_jury(self):
         assert not satisfies_simple_condition(KlerosPayment(10.0, 1.0), 101)
 
@@ -437,6 +449,8 @@ class TestSimpleCondition:
             adv = vote_advantage(table, n)
             gaps = [adv[m + 1] - adv[m] for m in range(n - 1)]
             assert satisfies_simple_condition(table, n) == all(g >= 0.0 for g in gaps)
+            falls = [(m, -g) for m, g in enumerate(gaps) if g < 0.0]
+            assert simple_condition_falls(table, n) == falls
 
 
 class TestMonotonicity:
@@ -503,6 +517,44 @@ class TestSimpleProfile:
             ((WELL, Strategy(1.0, 1.0)), (WELL, Strategy(1.0, 0.0)))
         )
         assert not is_simple_profile(profile)
+
+
+class TestWorkBudget:
+    def test_budget_is_inclusive(self, monkeypatch):
+        # n log-factorials, 10**4 * n scan weights and n**2 PMF cells for
+        # the search; n log-factorials and n weights for the design
+        n, count = 11, (1 + 10**4 + 11) * 11
+        monkeypatch.setattr(jurymech.equilibrium, "_WORK_BUDGET", count)
+        find_symmetric_equilibria(WELL, ThresholdPayment(3.0), n)
+        design_payments(count // 2, 0.75)
+        monkeypatch.setattr(jurymech.equilibrium, "_WORK_BUDGET", count - 1)
+        with pytest.raises(ValueError, match=f"n=11 computes {count} log-factorials"):
+            find_symmetric_equilibria(WELL, ThresholdPayment(3.0), n)
+        with pytest.raises(ValueError, match=f"n={count // 2} computes {count} .* of {count - 1}$"):
+            design_payments(count // 2, 0.75)
+
+    @pytest.mark.parametrize(
+        "call, entry, count",
+        [
+            (lambda: find_symmetric_equilibria(WELL, ThresholdPayment(3.0), 10**8),
+             "symmetric-equilibrium search", 10001000100000000),
+            (lambda: design_payments(10**8, 0.75), "payment design", 200000000),
+            (lambda: build_lp(10**8, 0.75), "payment design", 200000000),
+        ],
+        ids=["find", "design", "build_lp"],
+    )
+    def test_refused_before_any_table(self, call, entry, count, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a table was built past the work budget")
+
+        monkeypatch.setattr(jurymech.equilibrium, "vote_advantage", no_table)
+        monkeypatch.setattr(jurymech.equilibrium, "_log_choose", no_table)
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == (
+            f"{entry} at n=100000000 computes {count} log-factorials, binomial "
+            "weights and PMF cells, past the budget of 20000000"
+        )
 
 
 class TestSymmetricEquilibria:

@@ -7,7 +7,7 @@ import pytest
 from jurymech.equilibrium import verify_equilibrium
 from jurymech.model import Strategy, StrategyProfile, TabulatedPayment, expected_vote_advantage
 from jurymech.payment_design import DesignOptions, binomial_weights, build_lp, design_payments
-from jurymech.simplex import LinearProgram, SolveStatus, _pivot, solve
+from jurymech.simplex import LinearProgram, SolveStatus, _Budget, _iterate, _pivot, solve
 from oracles import DESIGN_OPTIONS, WELL, scaled_candidates
 
 
@@ -179,6 +179,74 @@ def test_sparse_pivot_matches_dense_update(shape):
         _pivot(tableau, basis, row, col)
         assert np.array_equal(tableau, want[0])
         assert np.array_equal(basis, want[1])
+
+
+def _block_pivot(tableau, basis, row, col):
+    # Reference: the np.ix_/np.outer block update, the same t - f*r per cell
+    # as the broadcast one, on the same rows and columns.
+    tableau[row] /= tableau[row, col]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    rows = np.flatnonzero(factor)
+    cols = np.flatnonzero(tableau[row])
+    tableau[np.ix_(rows, cols)] -= np.outer(factor[rows], tableau[row, cols])
+    basis[row] = col
+
+
+def _signed_zeros(rng, size):
+    return np.where(rng.random(size) < 0.5, 0.0, -0.0)
+
+
+@pytest.mark.parametrize("shape", ["random", "lone_column", "lone_row"])
+def test_pivot_matches_block_update_byte_for_byte(shape):
+    # array_equal takes -0.0 for 0.0, the bytes do not: a cell outside the
+    # block must keep its sign of zero, which t - 0*r can flip.  The last
+    # row is the cost row, updated with the others and never the pivot row.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        m, k = int(rng.integers(2, 10)), int(rng.integers(2, 12))
+        tableau = rng.uniform(-2.0, 2.0, size=(m, k))
+        zeros = rng.random((m, k)) < 0.6
+        tableau[zeros] = _signed_zeros(rng, (m, k))[zeros]
+        row, col = int(rng.integers(m - 1)), int(rng.integers(k - 1))
+        tableau[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        if shape == "lone_column":  # no other row needs updating
+            tableau[:, col] = np.where(np.arange(m) == row, tableau[row, col], _signed_zeros(rng, m))
+        elif shape == "lone_row":  # no other column needs updating
+            tableau[row] = np.where(np.arange(k) == col, tableau[row, col], _signed_zeros(rng, k))
+        basis = rng.integers(0, k, size=m - 1)
+
+        want = (tableau.copy(), basis.copy())
+        _block_pivot(*want, row, col)
+        _pivot(tableau, basis, row, col)
+        assert tableau.tobytes() == want[0].tobytes()
+        assert basis.tobytes() == want[1].tobytes()
+
+
+def test_iterate_without_an_improving_column_is_optimal():
+    # A reduced cost of exactly -_COST_TOL does not improve, and the rhs
+    # column's negative entry is no column to enter: nothing moves.
+    tableau = np.array([[1.0, 2.0, -0.0, 4.0], [0.0, -1e-9, 2.0, -5.0]])
+    basis = np.array([0])
+    budget = _Budget(3)
+    before = tableau.tobytes()
+    assert _iterate(tableau, basis, 3, budget) is SolveStatus.OPTIMAL
+    assert (tableau.tobytes(), basis.tolist(), budget.left) == (before, [0], 3)
+
+
+def test_iterate_enters_the_last_real_column():
+    # Only column 2, the last real one, improves; row 0 has the least ratio
+    # (4/2 against 3/1), so it leaves, and then nothing improves.
+    tableau = np.array([[1.0, 0.0, 2.0, 4.0], [0.0, 1.0, 1.0, 3.0], [0.0, 0.0, -1.0, 0.0]])
+    basis = np.array([0, 1])
+    budget = _Budget(3)
+    assert _iterate(tableau, basis, 3, budget) is SolveStatus.OPTIMAL
+    want = np.array([[0.5, 0.0, 1.0, 2.0], [-0.5, 1.0, 0.0, 1.0], [0.5, 0.0, 0.0, 2.0]])
+    assert tableau.tobytes() == want.tobytes()
+    assert (basis.tolist(), budget.left) == ([2, 1], 2)
+    # with no positive entry in that column the ray is unbounded
+    tableau = np.array([[1.0, 0.0, -2.0, 4.0], [0.0, 1.0, -0.0, 3.0], [0.0, 0.0, -1.0, 0.0]])
+    assert _iterate(tableau, basis, 3, _Budget(3)) is SolveStatus.UNBOUNDED
 
 
 def test_tableau_memory_is_bounded():
