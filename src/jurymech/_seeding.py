@@ -4,17 +4,17 @@
 once to mix the entropy [seed, k] into a derived 64-bit seed, and once to
 turn that seed into PCG64's four state words.  _state is the one mirror of
 SeedSequence here: it lays out an entropy's words as SeedSequence does and
-redoes its mixing in uint32 array arithmetic, for a whole array of
-entropies at once.  derive_seeds and seed_states are the two mixings for
-every (seed, k) pair, sample_states chains them, and preset_generators
-hands each state to PCG64 through PresetState, so every generator is
-exactly the one default_rng would build.  The two steps are apart so that
-a caller can derive the states of many batches at once and build each
-batch's generators only when it runs; the :mod:`jurymech.dynamics`
-docstring describes how a Monte Carlo run groups them.  grid_seeds does
-the first mixing for the entropy [master seed, row, column] of every cell
-of a sweep grid.  The module is imported only when samples are drawn or a
-grid is seeded, since importing numpy.random costs about 25 ms.
+redoes its mixing and its state hashing in uint32 array arithmetic, for a
+whole array of entropies at once.  sample_states calls it for both mixings
+of every (seed, k) pair, and preset_generators hands each state to PCG64
+through PresetState, so every generator is exactly the one default_rng
+would build.  The two steps are apart so that a caller can derive the
+states of many batches at once and build each batch's generators only when
+it runs; the :mod:`jurymech.dynamics` docstring describes how a Monte Carlo
+run groups them.  grid_seeds does the first mixing for the entropy
+[master seed, row, column] of every cell of a sweep grid.  The module is
+imported only when samples are drawn or a grid is seeded, since importing
+numpy.random costs about 25 ms.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ def _entropy_pool(words: list[np.ndarray]) -> list[np.ndarray]:
     return pool
 
 
-def _generate_state(pool: list[np.ndarray], n_words: int) -> list[np.ndarray]:
-    """SeedSequence.generate_state's first n_words uint32 words."""
-    return [_hash(pool[i % 4], _STATE_HASH, i) for i in range(n_words)]
-
-
 def _state(first: np.ndarray, *rest: np.ndarray, words: int) -> np.ndarray:
     """SeedSequence([first, *rest]).generate_state(words, np.uint64) for a
     uint64 array ``first`` and uint32 arrays ``rest`` that broadcast
@@ -91,15 +86,11 @@ def _state(first: np.ndarray, *rest: np.ndarray, words: int) -> np.ndarray:
     zero = np.zeros(1, np.uint32)
     parts = [high, *rest, zero, zero, zero]
     entropy = [low, *(np.where(wide, parts[i], parts[i + 1]) for i in range(3))]
-    state = _generate_state(_entropy_pool(entropy), 2 * words)
-    # generate_state's own little-endian reading of uint32 pairs
+    pool = _entropy_pool(entropy)
+    # generate_state's first 2 * words uint32 words, read in little-endian
+    # pairs as generate_state reads them
+    state = [_hash(pool[i % 4], _STATE_HASH, i) for i in range(2 * words)]
     return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
-
-
-def derive_seeds(seeds: np.ndarray, samples: int) -> np.ndarray:
-    """jurymech.dynamics.derive_seed(seed, k) for every uint64 seed (rows)
-    and every k < samples (columns), as a uint64 array."""
-    return _state(seeds[:, None], np.arange(samples, dtype=np.uint32), words=1)[..., 0]
 
 
 def grid_seeds(master_seed: int, rows: int, cols: int) -> np.ndarray:
@@ -109,14 +100,6 @@ def grid_seeds(master_seed: int, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"a grid of {rows} x {cols} cells has an index past 2**32")
     row = np.arange(rows, dtype=np.uint32)[:, None]
     return _state(master_seed, row, np.arange(cols, dtype=np.uint32), words=1)[..., 0]
-
-
-def seed_states(seeds: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed).generate_state(4, np.uint64) for every uint64
-    seed, as a C-contiguous (len(seeds), 4) array: the state that
-    default_rng(seed) gives PCG64.  A seed below 2**32 is the one word
-    [low], which pads to the same pool as [low, 0]."""
-    return _state(seeds, words=4)
 
 
 class PresetState(bit_generator.ISeedSequence):
@@ -135,8 +118,10 @@ class PresetState(bit_generator.ISeedSequence):
 def sample_states(seeds: np.ndarray, samples: int) -> np.ndarray:
     """The PCG64 state of default_rng(derive_seed(seed, k)) for every uint64
     seed and every k < samples, seed-major, as a C-contiguous
-    (len(seeds) * samples, 4) array."""
-    return seed_states(derive_seeds(seeds, samples).ravel())
+    (len(seeds) * samples, 4) array.  A derived seed below 2**32 is the
+    one word [low], which pads to the same pool as [low, 0]."""
+    derived = _state(seeds[:, None], np.arange(samples, dtype=np.uint32), words=1)
+    return _state(derived.ravel(), words=4)
 
 
 def preset_generators(states: np.ndarray) -> list[np.random.Generator]:

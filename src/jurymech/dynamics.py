@@ -275,8 +275,10 @@ def _run_batch(
 
 
 def simulate(config: SimulationConfig) -> Trajectory:
-    """Run one seeded trajectory; identical configs give identical output."""
-    # allocated first, so that more rounds than memory holds fail at once
+    """Run one seeded trajectory; identical configs give identical output.
+    Past check_draw_budget's budget for its n * (rounds + 1) draws it
+    raises ValueError before the record of rounds is allocated."""
+    check_draw_budget(1, 1, config.n, config.rounds)
     record = np.empty((config.rounds + 1, 2), dtype=np.intp)
     rngs = [np.random.default_rng(config.seed)]
     votes = _run_batch([config], rngs, _response_rows([config]), record)

@@ -45,20 +45,24 @@ _SCAN_RANGE = 20.0
 _SCAN_POINTS = 10_000
 
 # Kernel values (log-factorials, binomial weights and PMF cells) that one
-# find_symmetric_equilibria or design_payments call may compute; past it
-# they raise before they allocate.  The largest pinned input, find-eq at
-# n = 1001, computes 1.1e7; find-eq runs up to n = 1708 and design up to
-# n = 10**7 (about 0.3 s and 13 s on a 2-core host).
+# find_symmetric_equilibria or design_payments call may compute, and cells
+# of the constraint matrices that one build_lp call may build; past it they
+# raise before they allocate.  The largest pinned input, find-eq at
+# n = 1001, computes 1.1e7; find-eq runs up to n = 1708, design up to
+# n = 10**7 (about 0.3 s and 13 s on a 2-core host) and build_lp up to
+# n = 4472.
 _WORK_BUDGET = 2 * 10**7
 
 
-def check_work_budget(entry: str, n: int, values: int) -> None:
+def check_work_budget(
+    entry: str, n: int, values: int,
+    kind: str = "log-factorials, binomial weights and PMF cells",
+) -> None:
     """Raise ValueError when ``entry`` at jury size n would compute more
-    than _WORK_BUDGET kernel values."""
+    than _WORK_BUDGET values of the named kind."""
     if values > _WORK_BUDGET:
         raise ValueError(
-            f"{entry} at n={n} computes {values} log-factorials, binomial weights "
-            f"and PMF cells, past the budget of {_WORK_BUDGET}"
+            f"{entry} at n={n} computes {values} {kind}, past the budget of {_WORK_BUDGET}"
         )
 
 

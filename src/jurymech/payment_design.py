@@ -122,9 +122,14 @@ def build_lp(
 
     Variable k (0-based) is the payment when k+1 jurors voted the payee's
     way.  Row m of the simple condition asks
-    p[m+1] - p[m] + p[n-1-m] - p[n-2-m] >= 0.
+    p[m+1] - p[m] + p[n-1-m] - p[n-2-m] >= 0.  Past check_work_budget's
+    budget for its constraint cells it raises before any matrix is built.
     """
     effort, target_advantage, objective, equality = _design_problem(n, x, profile)
+    # n cells in each of the n - 1 simple rows, as many monotone ones, the
+    # individual-rationality row and the equality row
+    rows = (n - 1) * (1 + options.require_monotone) + options.individual_rationality + 1
+    check_work_budget("design LP", n, rows * n, "constraint cells")
 
     # diff[m] @ p is p[m+1] - p[m]
     diff = np.eye(n - 1, n, k=1) - np.eye(n - 1, n)

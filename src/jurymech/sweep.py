@@ -109,6 +109,9 @@ class SweepConfig:
             raise ValueError('payment_values go with payment_kind "table" and only with it')
         if self.axis is not Axis.INITIAL_EFFORT and self.payment_kind != "threshold":
             raise ValueError(f"the {self.axis.value} axis needs payment_kind 'threshold'")
+        # the whole grid's work, before a cell or a seed array exists, so
+        # that a sweep past the budget cannot be built and fails at any threads
+        check_draw_budget(self.rho_steps * self.x_steps, self.samples, self.n, self.rounds)
 
     def rho_values(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.rho_steps)
@@ -131,8 +134,6 @@ class SweepConfig:
         # imported on first use, like numpy.random itself (see _seeding)
         from ._seeding import grid_seeds
 
-        # the grid's arrays come first, so a grid too big for memory fails
-        # before any cell is built
         seeds = grid_seeds(self.master_seed, self.rho_steps, self.x_steps)
         columns = self._columns()
         return [
@@ -172,14 +173,13 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
 
     With threads = w > 1, up to w workers share the grid: this process and
     a pool of at most w - 1 forked ones.  The thread count only affects
-    wall-clock time, never the numbers, and a grid past the juror-draw
-    budget of :func:`jurymech.dynamics.check_draw_budget` fails at any.
+    wall-clock time, never the numbers.  A grid past the juror-draw budget
+    of :func:`jurymech.dynamics.check_draw_budget` never gets here: its
+    SweepConfig cannot be built.
     """
     threads = _count("threads", threads, 1)
     started = time.perf_counter()
     cells = config.cell_simulations()
-    # the whole grid's work, so that the answer is the same at any threads
-    check_draw_budget(len(cells), config.samples, config.n, config.rounds)
     size = batch_cells(config.n, config.samples)
     batches = math.ceil(len(cells) / size)
     estimate = partial(correctness_estimates, samples=config.samples)

@@ -277,8 +277,9 @@ class TestSimulate:
         assert out2 == out
 
     def test_rounds_too_many_for_memory(self, monkeypatch, capsys):
-        # 10**15 rounds of two counts are 14.2 PiB, so the record fails to
-        # allocate before round 0; the guard stops rounds recorded one by one
+        # 10 jurors over 10**15 + 1 rounds are past the draw budget, refused
+        # before the record is allocated; the guard stops rounds recorded
+        # one by one
         built = []
 
         def guarded_state(*counts):
@@ -293,7 +294,10 @@ class TestSimulate:
         ]
         code, out, err = run(args, capsys)
         assert (code, out) == (1, "")
-        assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
+        assert err == (
+            "usage error: 1 configs x 1 samples x 10 jurors x 1000000000000001 rounds "
+            "are 10000000000000010 juror-draws, past the budget of 10000000000\n"
+        )
         assert built == []
 
     @pytest.mark.parametrize(
@@ -449,9 +453,9 @@ class TestSweep:
         assert not out_dir.exists()
 
     def test_grid_too_big_for_memory(self, tmp_path, monkeypatch, capsys):
-        # 10**7 x 10**7 cells are 10**14, past any address space, so the
-        # grid's seed array fails to allocate (each axis alone is 80 MB);
-        # the guard stops cells built one by one before the grid is allocated
+        # 10**7 x 10**7 cells are 10**14, past the draw budget, so the config
+        # is refused before the grid's seed array (each axis alone is 80 MB)
+        # is allocated; the guard stops cells built one by one
         built = []
 
         def guarded_cell(**fields):
@@ -469,7 +473,10 @@ class TestSweep:
             ["sweep", "--config", str(config_path), "--out", str(out_dir)], capsys
         )
         assert (code, out) == (1, "")
-        assert err.startswith("usage error: Unable to allocate") and err.count("\n") == 1
+        assert err == (
+            "usage error: 100000000000000 configs x 2 samples x 15 jurors x 4 rounds "
+            "are 12000000000000000 juror-draws, past the budget of 10000000000\n"
+        )
         assert built == []
         assert not out_dir.exists()
 
@@ -550,8 +557,9 @@ class TestExitCodes:
     def test_jury_too_big_for_memory(self, command, flags, tmp_path, monkeypatch, capsys):
         # 10**17 floats are 711 PiB, past any address space, so the first
         # array of that length fails to allocate and nothing is allocated;
-        # find-eq and design refuse it earlier, by their work budget; the
-        # guard stops a table built term by term before it is allocated
+        # find-eq and design refuse it earlier, by their work budget, and
+        # simulate by its draw budget; the guard stops a table built term
+        # by term before it is allocated
         lgamma = math.lgamma
         calls = []
 
@@ -567,6 +575,11 @@ class TestExitCodes:
         budgeted = {"find-eq": "symmetric-equilibrium search", "design": "payment design"}
         if command in budgeted:
             assert err.startswith(f"usage error: {budgeted[command]} at n={10**17} computes ")
+        elif command == "simulate":
+            assert err == (
+                f"usage error: 1 configs x 1 samples x {10**17} jurors x 2 rounds "
+                f"are {2 * 10**17} juror-draws, past the budget of 10000000000\n"
+            )
         else:
             assert err.startswith("usage error: Unable to allocate")
         assert err.count("\n") == 1
@@ -696,6 +709,33 @@ class TestFreshInterpreter:
             f"usage error: {err} log-factorials, binomial weights and PMF cells, "
             "past the budget of 20000000\n"
         )
+
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            (["sweep", "--config", "big.json", "--out", "out"],
+             "1000000 configs x 20 samples x 100 jurors x 51 rounds are 102000000000"),
+            (["simulate", "--threshold", "3", "--n", "100", "--rho", "0.9",
+              "--epsilon", "1", "--rounds", "200000000"],
+             "1 configs x 1 samples x 100 jurors x 200000001 rounds are 20000000100"),
+        ],
+        ids=["sweep", "simulate"],
+    )
+    def test_draws_past_the_budget_fail_fast(self, args, err, tmp_path):
+        # without the draw budget in the config the 1000 x 1000 sweep builds
+        # its million cells before it is refused (about 8 s), and the
+        # simulation runs until killed; with it both exit within the 1 s
+        # timeout, the interpreter's imports included
+        config = {"axis": "reward-threshold", "x_min": 0.0, "x_max": 5.0,
+                  "x_steps": 1000, "rho_steps": 1000}
+        (tmp_path / "big.json").write_text(json.dumps(config), encoding="utf-8")
+        args = [str(tmp_path / a) if a in ("big.json", "out") else a for a in args]
+        proc = run_python("-m", "jurymech.cli", *args, timeout=1.0)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"usage error: {err} juror-draws, past the budget of 10000000000\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 def test_readme_library_sketch_runs():

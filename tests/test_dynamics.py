@@ -23,10 +23,8 @@ from jurymech.dynamics import (
 from jurymech._seeding import (
     PresetState,
     _state,
-    derive_seeds,
     preset_generators,
     sample_states,
-    seed_states,
 )
 from jurymech.equilibrium import best_response
 from jurymech.model import (
@@ -214,6 +212,9 @@ class TestSimulate:
             config(rounds=0)
         with pytest.raises(ValueError):
             config(seed=-1)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            config(seed=2**64)
+        assert config(seed=2**64 - 1).seed == 2**64 - 1
         with pytest.raises(ValueError):
             config(epsilon=-0.5)
 
@@ -438,7 +439,8 @@ class TestDeriveSeed:
     def test_vectorised_derivation_matches_seed_sequence(self):
         drawn = np.random.default_rng(2024).integers(0, 2**64, size=20, dtype=np.uint64)
         seeds = self.EDGE_SEEDS + [int(s) for s in drawn]
-        derived = derive_seeds(np.array(seeds, dtype=np.uint64), 1000)
+        samples = np.arange(1000, dtype=np.uint32)
+        derived = _state(np.array(seeds, dtype=np.uint64)[:, None], samples, words=1)[..., 0]
         assert derived.shape == (len(seeds), 1000) and derived.dtype == np.uint64
         expected = [[derive_seed(s, k) for k in range(1000)] for s in seeds]
         assert derived.tolist() == expected
@@ -448,7 +450,7 @@ class TestDeriveSeed:
         small = np.random.default_rng(7).integers(0, 2**32, size=10, dtype=np.uint64)
         large = np.random.default_rng(8).integers(0, 2**64, size=10, dtype=np.uint64)
         seeds = self.EDGE_SEEDS + [int(s) for s in small] + [int(s) for s in large]
-        states = seed_states(np.array(seeds, dtype=np.uint64))
+        states = _state(np.array(seeds, dtype=np.uint64), words=4)
         assert states.flags.c_contiguous and states.dtype == np.uint64
         for seed, state in zip(seeds, states):
             expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
@@ -477,7 +479,7 @@ class TestDeriveSeed:
             assert np.array_equal(rng.integers(0, 2**62, 4), reference.integers(0, 2**62, 4))
         # a derived seed below 2**32 seeds PCG64 from a one-word entropy
         for seed in (0, 1, 12345, 2**32 - 1):
-            state = seed_states(np.array([seed], dtype=np.uint64))[0]
+            state = _state(np.array([seed], dtype=np.uint64), words=4)[0]
             rng = np.random.Generator(np.random.PCG64(PresetState(state)))
             reference = np.random.default_rng(seed)
             assert np.array_equal(rng.random(16), reference.random(16))

@@ -37,7 +37,7 @@ from jurymech.model import (
     vote_advantage,
     vote_probability,
 )
-from jurymech.payment_design import binomial_weights, build_lp, design_payments
+from jurymech.payment_design import DesignOptions, binomial_weights, build_lp, design_payments
 from oracles import (
     MIS,
     WELL,
@@ -554,6 +554,31 @@ class TestWorkBudget:
         assert str(err.value) == (
             f"{entry} at n=100000000 computes {count} log-factorials, binomial "
             "weights and PMF cells, past the budget of 20000000"
+        )
+
+    def test_design_lp_counts_its_constraint_cells(self, monkeypatch):
+        # n = 11: 10 simple rows, 10 monotone ones, the individual-rationality
+        # row and the equality row, 11 cells each; n log-factorials and n
+        # weights for the problem itself are far fewer
+        options = DesignOptions(require_monotone=True, individual_rationality=True)
+        count = 22 * 11
+        monkeypatch.setattr(jurymech.equilibrium, "_WORK_BUDGET", count)
+        build_lp(11, 0.75, options=options)
+        monkeypatch.setattr(jurymech.equilibrium, "_WORK_BUDGET", count - 1)
+        with pytest.raises(ValueError, match=f"n=11 computes {count} constraint cells"):
+            build_lp(11, 0.75, options=options)
+
+    def test_design_lp_refused_before_any_matrix(self, monkeypatch):
+        # 2n = 40000 weights pass, but the (n - 1) x n matrices would be 3 GB
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a constraint matrix was built past the work budget")
+
+        monkeypatch.setattr(np, "eye", no_matrix)
+        with pytest.raises(ValueError) as err:
+            build_lp(20000, 0.75)
+        assert str(err.value) == (
+            "design LP at n=20000 computes 400000000 constraint cells, "
+            "past the budget of 20000000"
         )
 
 

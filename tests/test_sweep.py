@@ -113,6 +113,25 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=field):
             SweepConfig(**kwargs)
 
+    def test_draw_budget_is_checked_when_built(self, monkeypatch):
+        # 10 cells x 1 sample x 1 juror x 10**9 rounds are the budget itself
+        def no_grid(*args):
+            raise AssertionError("a grid was seeded while a config was built")
+
+        monkeypatch.setattr("jurymech._seeding.grid_seeds", no_grid)
+        small = dict(axis=Axis.REWARD_THRESHOLD, x_min=0.0, x_max=1.0, n=1, samples=1)
+        SweepConfig(**small, rho_steps=2, x_steps=5, rounds=10**9 - 1)
+        with pytest.raises(ValueError, match=" 10000000010 juror-draws, past the budget"):
+            SweepConfig(**small, rho_steps=2, x_steps=5, rounds=10**9)
+        # a 30000 x 30000 grid would first ask for 3.35 GiB of uint32 seed words
+        with pytest.raises(ValueError) as err:
+            SweepConfig(axis=Axis.REWARD_THRESHOLD, x_min=0.0, x_max=1.0,
+                        rho_steps=30000, x_steps=30000)
+        assert str(err.value) == (
+            "900000000 configs x 20 samples x 100 jurors x 51 rounds are "
+            "91800000000000 juror-draws, past the budget of 10000000000"
+        )
+
     def test_table_length_must_match_jury_size(self):
         # Fails at construction, before a sweep starts any worker.
         with pytest.raises(ValueError, match="one entry per juror"):
