@@ -52,17 +52,25 @@ _SCAN_POINTS = 10_000
 # n = 10**7 (about 0.3 s and 13 s on a 2-core host) and build_lp up to
 # n = 4472.
 _WORK_BUDGET = 2 * 10**7
+# PMF cell updates that one verify_equilibrium call may make, checked the
+# same way.  An update is a vectorised multiply-add, about 2 ns, so this
+# allows about 0.2 s, like find-eq at n = 1708: n = 9999 for a symmetric
+# profile and n = 463 when no two neighbours share a vote probability (the
+# largest pinned input, n = 400, makes 6.4e7).
+_VERIFY_BUDGET = 10**8
 
 
 def check_work_budget(
     entry: str, n: int, values: int,
     kind: str = "log-factorials, binomial weights and PMF cells",
+    budget: int | None = None,
 ) -> None:
     """Raise ValueError when ``entry`` at jury size n would compute more
-    than _WORK_BUDGET values of the named kind."""
-    if values > _WORK_BUDGET:
+    than ``budget`` (by default _WORK_BUDGET) values of the named kind."""
+    budget = _WORK_BUDGET if budget is None else budget
+    if values > budget:
         raise ValueError(
-            f"{entry} at n={n} computes {values} {kind}, past the budget of {_WORK_BUDGET}"
+            f"{entry} at n={n} computes {values} {kind}, past the budget of {budget}"
         )
 
 
@@ -151,7 +159,8 @@ def _leave_one_out_advantages(
     sequence, so the run shares one PMF, which leaves out the run's first
     juror; a symmetric profile needs one.  A step works only on the counts
     the PMFs can reach so far (zeros elsewhere stay zeros), and the PMFs go
-    in chunks of about _SCAN_CELLS cells.
+    in chunks of about _SCAN_CELLS cells.  Before any step, check_work_budget
+    counts n steps of up to n + 1 cells for each PMF.
     """
     n = len(probs)
     run_of = [0] * n
@@ -159,6 +168,10 @@ def _leave_one_out_advantages(
         run_of[j] = run_of[j - 1] + (probs[j] != probs[j - 1])
     # the juror each PMF leaves out: the first of its run
     firsts = np.flatnonzero(np.diff(run_of, prepend=-1))
+    check_work_budget(
+        "equilibrium verification", n, len(firsts) * n * (n + 1),
+        "PMF cell updates", _VERIFY_BUDGET,
+    )
     step = max(1, _SCAN_CELLS // (n + 1))
     advantages = []
     for first in range(0, len(firsts), step):
@@ -252,7 +265,8 @@ def verify_equilibrium(
     from one batched convolution (see _leave_one_out_advantages) with one PMF
     per contiguous run of equal vote probability, so a symmetric profile
     costs O(n^2) and the worst case O(n^3); the results are bit for bit those
-    of the per-agent computation.
+    of the per-agent computation.  Past _VERIFY_BUDGET PMF cell updates,
+    runs * n * (n + 1), it raises ValueError before it convolves.
     """
     if not _real("tol", tol) > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")

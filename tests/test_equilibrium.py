@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -579,6 +580,40 @@ class TestWorkBudget:
         assert str(err.value) == (
             "design LP at n=20000 computes 400000000 constraint cells, "
             "past the budget of 20000000"
+        )
+
+    def test_verify_counts_its_pmf_cell_updates(self, monkeypatch):
+        # one PMF per run of equal vote probability, each n steps of up to
+        # n + 1 cells: three runs at n = 5, and one for a symmetric profile
+        efforts = (0.3, 0.3, 1.2, 1.2, 0.3)
+        profile = StrategyProfile(tuple((WELL, Strategy(e, 1.0)) for e in efforts))
+        count = 3 * 5 * 6
+        monkeypatch.setattr(jurymech.equilibrium, "_VERIFY_BUDGET", count)
+        verify_equilibrium(profile, ThresholdPayment(3.0))
+        monkeypatch.setattr(jurymech.equilibrium, "_VERIFY_BUDGET", count - 1)
+        with pytest.raises(ValueError) as err:
+            verify_equilibrium(profile, ThresholdPayment(3.0))
+        assert str(err.value) == (
+            f"equilibrium verification at n=5 computes {count} PMF cell updates, "
+            f"past the budget of {count - 1}"
+        )
+        monkeypatch.setattr(jurymech.equilibrium, "_VERIFY_BUDGET", 5 * 6)
+        verify_equilibrium(uniform_profile(5, 0.3, 1.0), ThresholdPayment(3.0))
+
+    def test_verify_refused_before_it_convolves(self):
+        # 10**4 jurors, no two sharing a vote probability: 10**12 updates,
+        # which the O(n^3) convolution would take about 40 minutes to make
+        n = 10**4
+        profile = StrategyProfile(
+            tuple((WELL, Strategy(0.1 + j * 1e-4, 1.0)) for j in range(n))
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            verify_equilibrium(profile, ThresholdPayment(3.0))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (
+            "equilibrium verification at n=10000 computes 1000100000000 PMF cell "
+            "updates, past the budget of 100000000"
         )
 
 

@@ -7,7 +7,17 @@ import pytest
 from jurymech.equilibrium import verify_equilibrium
 from jurymech.model import Strategy, StrategyProfile, TabulatedPayment, expected_vote_advantage
 from jurymech.payment_design import DesignOptions, binomial_weights, build_lp, design_payments
-from jurymech.simplex import LinearProgram, SolveStatus, _Budget, _iterate, _pivot, solve
+import jurymech.simplex
+from jurymech.simplex import (
+    LinearProgram,
+    PivotLimitError,
+    SolveStatus,
+    _Budget,
+    _iterate,
+    _pivot,
+    _set_cost_row,
+    solve,
+)
 from oracles import DESIGN_OPTIONS, WELL, scaled_candidates
 
 
@@ -249,10 +259,121 @@ def test_iterate_enters_the_last_real_column():
     assert _iterate(tableau, basis, 3, _Budget(3)) is SolveStatus.UNBOUNDED
 
 
+def _phase_one_loop(tableau):
+    # Reference: the row-by-row phase-one cost row, from a row of +0.0.
+    tableau[-1] = 0.0
+    for r in range(tableau.shape[0] - 1):
+        tableau[-1] -= tableau[r]
+
+
+def _phase_two_loop(tableau, costs, weights):
+    # Reference: the row-by-row phase-two cost row, weights[r] the cost of
+    # row r's basic variable.
+    tableau[-1] = costs
+    for r, w in enumerate(weights):
+        tableau[-1] -= w * tableau[r]
+
+
+def _assert_cost_row_matches_loop(tableau, costs=None, weights=None):
+    want, got = tableau.copy(), tableau.copy()
+    if costs is None:
+        _phase_one_loop(want)
+        _set_cost_row(got, 0.0, np.ones(tableau.shape[0] - 1))
+    else:
+        _phase_two_loop(want, costs, weights)
+        _set_cost_row(got, costs, weights)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [(0, 10), (1, 10), (63, 65), (64, 65), (150, 151)])
+def test_cost_row_matches_row_by_row_loops(rows):
+    # Signed zeros everywhere, in the tableau and in the costs: 1.0 * r and
+    # the row order must keep every sign.  Past 64 basis rows the helper
+    # works in more than one chunk.
+    rng = np.random.default_rng(31 + rows[0])
+    for _ in range(20):
+        m, k = int(rng.integers(*rows)), int(rng.integers(2, 40))
+        tableau = rng.uniform(-2.0, 2.0, size=(m + 1, k))
+        zeros = rng.random((m + 1, k)) < 0.6
+        tableau[zeros] = _signed_zeros(rng, (m + 1, k))[zeros]
+        costs = np.where(rng.random(k) < 0.4, _signed_zeros(rng, k), rng.uniform(-2.0, 2.0, k))
+        _assert_cost_row_matches_loop(tableau)
+        _assert_cost_row_matches_loop(tableau, costs, costs[rng.integers(0, k, size=m)])
+
+
+@pytest.mark.parametrize("case", ["redundant", "ir_201"])
+def test_cost_rows_of_solve_match_row_by_row_loops(case, monkeypatch):
+    # Both cost rows that solve sets: phase two's over the tableau left after
+    # a redundant row is dropped, and over the 202 rows of an n = 201 LP.
+    if case == "redundant":
+        problem = lp([1.0, 1.0], eq=[[1.0, 1.0], [2.0, 2.0]], eq_rhs=[2.0, 4.0])
+    else:
+        problem = build_lp(201, 0.75, options=DesignOptions(individual_rationality=True))
+    calls = []
+
+    def recording(tableau, start, weights):
+        calls.append((tableau.copy(), start, weights.copy()))
+        _set_cost_row(tableau, start, weights)
+
+    monkeypatch.setattr(jurymech.simplex, "_set_cost_row", recording)
+    assert solve(problem).status is SolveStatus.OPTIMAL
+    (one, zero, ones), (two, costs, weights) = calls
+    assert (repr(zero), ones.tolist()) == ("0.0", [1.0] * (one.shape[0] - 1))  # +0.0
+    assert (one.shape[0], two.shape[0]) == ((3, 2) if case == "redundant" else (203, 203))
+    _assert_cost_row_matches_loop(one)
+    _assert_cost_row_matches_loop(two, costs, weights)
+
+
+def _drive_out_lp():
+    # x + y == 0 and x - y == 0: phase one pivots x in, and y's artificial
+    # is left in the degenerate basis and driven out by one more pivot.
+    return lp([1.0, 1.0], eq=[[1.0, 1.0], [1.0, -1.0]], eq_rhs=[0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "make, least, values, objective",
+    [
+        (
+            lambda: build_lp(11, 0.75),
+            15,
+            # eight zero doubles, then three nonzero ones
+            "00" * 8 * 8 + "e8aa3dd6e37bcc3c" "000000000000f03c" "8c2ae1140ec25140",
+            "3.0000677414984427",
+        ),
+        (
+            lambda: lp([1.0, 1.0], eq=[[1.0, 1.0], [2.0, 2.0]], eq_rhs=[2.0, 4.0]),
+            1,
+            "00000000000000400000000000000000",
+            "2.0",
+        ),
+        (_drive_out_lp, 2, "00000000000000000000000000000000", "0.0"),
+    ],
+    ids=["design_11", "redundant", "drive_out"],
+)
+def test_pivot_budget_boundary(make, least, values, objective):
+    # One unit of budget per pivot, drive-out pivots included: the least
+    # budget that solves gives the solution of an ample one, and one less
+    # raises.
+    sol = solve(make(), max_pivots=least)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert (sol.values.tobytes().hex(), repr(sol.objective_value)) == (values, objective)
+    assert solve(make()).values.tobytes() == sol.values.tobytes()
+    with pytest.raises(PivotLimitError):
+        solve(make(), max_pivots=least - 1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, -1, "15", None])
+def test_max_pivots_is_a_count(bad):
+    problem = build_lp(11, 0.75)
+    with pytest.raises(ValueError, match="max_pivots must be a count of at least 0"):
+        solve(problem, max_pivots=bad)
+    assert solve(problem, max_pivots=np.int64(15)).status is SolveStatus.OPTIMAL
+
+
 def test_tableau_memory_is_bounded():
     # The tableau is one (203, 403) array of the real columns and the rhs,
     # its last row the reduced costs, about 0.65 MB, which phase two reuses
-    # in place; the solve peaks at about 1.15 MB.  With the 202 artificial
+    # in place; the solve peaks at about 1.31 MB.  With the 202 artificial
     # columns stored and a phase-two copy it peaked at 2.12 MB; assembled
     # from stacked blocks and identity matrices, at about 4.3 MB.
     options = DesignOptions(individual_rationality=True)
